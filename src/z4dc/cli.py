@@ -87,26 +87,20 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     c = from_spec_dict(_load_spec(args.spec))
     enum = gray.lee_enumerator(c, cap=cap, jobs=args.jobs)
-    size = code_size(c)
-    if size == 1:
-        d = None
-        params = gray.gray_image_params(c, cap=cap)
-    else:
-        d = enum.min_nonzero_weight()
-        params = gray.gray_image_params(c, cap=cap, jobs=args.jobs)
+    params = gray.image_params(c, enum)
     report = {
         "spec": spec_dict(c),
         "case": c.case,
-        "size": size,
+        "size": params.M,
         "generator_matrix": [list(row) for row in generator_matrix(c).rows],
-        "min_lee_distance": d,
+        "min_lee_distance": params.d,
         "lee_enumerator": {str(w): n for w, n in sorted(enum.counts.items())},
         "gray": {"n": params.n, "M": params.M, "d": params.d,
                  "linear_image": params.linear_image,
                  "witness": [list(w) for w in params.witness]
                  if params.witness else None},
     }
-    if d is None:
+    if params.d is None:
         report["note"] = "ZeroCode: the zero code has no nonzero codeword"
     if not args.no_timing:
         report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
@@ -138,7 +132,7 @@ def _claims_for_case(case: dict, cap: int, jobs: int):
         yield ("min_lee_distance", case["min_lee_distance"],
                enum.min_nonzero_weight())
         yield ("lee_enumerator", case["lee_counts"], enum.counts)
-        params = gray.gray_image_params(c, cap=cap, jobs=jobs)
+        params = gray.image_params(c, enum)
         yield ("gray_params", case["gray"], (params.n, params.M, params.d))
         if case.get("nonlinear"):
             certified = (params.linear_image is False

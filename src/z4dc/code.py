@@ -326,7 +326,11 @@ def spec_dict(c: DoubleCyclicCode) -> dict:
 
 
 def minimal_generating_set(c: DoubleCyclicCode) -> list[tuple[CodeVector, int]]:
-    """The S1, S2, S3, S4 rows with their orders (4 or 2), in that order.
+    """The S1, S2, S3, S4 rows with their radices (4 or 2), in that order.
+
+    The radix is the number of multiples of the row that the enumeration
+    counts through, not its additive order: an S4 row can have odd
+    entries and still has radix 2.
 
     Sizes are r-t1, t1-t2, s-r1 and r1-r2; the sentinel encodings make
     the ranges of absent families empty.
@@ -517,23 +521,6 @@ def canonicalize_ideal(spanning, n: int) -> tuple[Poly, Poly]:
     return f, g
 
 
-def _f2_rows_reduce(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Row echelon basis over F2 (vectors as 0/1 tuples)."""
-    basis: list[list[int]] = []
-    leads: list[int] = []
-    for row in rows:
-        cur = [c & 1 for c in row]
-        for lead, b in zip(leads, basis):
-            if cur[lead]:
-                cur = [a ^ x for a, x in zip(cur, b)]
-        pos = next((i for i, c in enumerate(cur) if c), None)
-        if pos is not None:
-            leads.append(pos)
-            basis.append(cur)
-    order = sorted(range(len(leads)), key=lambda i: leads[i])
-    return [tuple(basis[i]) for i in order]
-
-
 @dataclass(frozen=True)
 class ResidueCode:
     """The mod-2 image: a binary double cyclic code of the same lengths.
@@ -566,15 +553,16 @@ class ResidueCode:
     def matrix(self) -> linalg.MatZ4:
         return linalg.MatZ4(tuple(self.generator_rows()), self.r + self.s)
 
+    def _rref(self) -> tuple[list[int], list[int]]:
+        return f2poly.rref(f2poly.to_bits(row) for row in self.generator_rows())
+
     def size(self) -> int:
-        return 2 ** len(_f2_rows_reduce(self.generator_rows()))
+        return 2 ** len(self._rref()[0])
 
     def contains(self, v) -> bool:
-        v = tuple(c & 1 for c in v)
         if len(v) != self.r + self.s:
             raise DimensionMismatch(f"vector length {len(v)} != {self.r + self.s}")
-        basis = _f2_rows_reduce(self.generator_rows() + [v])
-        return len(basis) == len(_f2_rows_reduce(self.generator_rows()))
+        return not f2poly.reduce_row(f2poly.to_bits(v), *self._rref())
 
 
 def residue_code(c: DoubleCyclicCode) -> ResidueCode:

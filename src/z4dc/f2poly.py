@@ -98,41 +98,61 @@ def mulmod(a: Poly, b: Poly, m: Poly) -> Poly:
     return polymod(mul(a, b), m)
 
 
+def to_bits(v) -> int:
+    """Bitmask of a 0/1 vector (or bit polynomial): bit i is entry i mod 2."""
+    return sum((b & 1) << i for i, b in enumerate(v))
+
+
+def from_bits(x: int) -> Poly:
+    """The polynomial whose coefficient i is bit i of x."""
+    return tuple((x >> i) & 1 for i in range(x.bit_length()))
+
+
+def reduce_row(v: int, basis: list[int], pivots: list[int]) -> int:
+    """Reduce a bitmask row against a reduced echelon basis; the result
+    is zero iff v lies in the span."""
+    for p, b in zip(pivots, basis):
+        if v >> p & 1:
+            v ^= b
+    return v
+
+
+def rref(rows) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over F2 of bitmask rows.
+
+    Returns (basis, pivots) sorted by pivot column, where a row's pivot
+    is its lowest set bit and every pivot column is clear in all other
+    rows; the basis is therefore canonical for the span.
+    """
+    basis: list[int] = []
+    pivots: list[int] = []
+    for row in rows:
+        row = reduce_row(row, basis, pivots)
+        if row:
+            p = (row & -row).bit_length() - 1
+            basis = [b ^ row if b >> p & 1 else b for b in basis]
+            basis.append(row)
+            pivots.append(p)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
 def _left_nullspace(rows: list[Poly], d: int) -> list[Poly]:
     """Basis of {v : sum_i v_i * rows[i] = 0} with rows padded to length d.
 
-    One linear constraint per column; solved by reduced row echelon form
-    over F2 with free variables set one at a time.
+    One linear constraint per column, reduced by rref; each free
+    variable set to 1 in turn determines the pivot variables.
     """
-    constraints = [[rows[i][j] if j < len(rows[i]) else 0 for i in range(d)]
+    constraints = [to_bits([row[j] if j < len(row) else 0 for row in rows])
                    for j in range(d)]
-    pivots: list[int] = []
-    reduced: list[list[int]] = []
-    for row in constraints:
-        row = row[:]
-        for pc, pr in zip(pivots, reduced):
-            if row[pc]:
-                row = [a ^ b for a, b in zip(row, pr)]
-        lead = next((i for i, c in enumerate(row) if c), None)
-        if lead is None:
-            continue
-        for idx, pr in enumerate(reduced):
-            if pr[lead]:
-                reduced[idx] = [a ^ b for a, b in zip(pr, row)]
-        pivots.append(lead)
-        reduced.append(row)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(d):
-        if free in pivot_set:
-            continue
-        v = [0] * d
-        v[free] = 1
-        for pc, pr in zip(pivots, reduced):
-            if pr[free]:
-                v[pc] = 1
-        basis.append(canon(v))
-    return basis
+    basis, pivots = rref(constraints)
+    out = []
+    for free in sorted(set(range(d)) - set(pivots)):
+        v = 1 << free
+        for p, b in zip(pivots, basis):
+            v |= (b >> free & 1) << p
+        out.append(from_bits(v))
+    return out
 
 
 def factor_cyclic(n: int) -> frozenset[Poly]:

@@ -6,14 +6,15 @@ to Hamming (but not additive).  Minimum Lee distance equals minimum
 nonzero Lee weight because codes are Z4-linear, and is certified by
 exhaustive enumeration; weight histograms are computed blockwise with
 64-bit counters and merge associatively, so sharded runs reproduce the
-sequential histogram bit for bit.
+sequential histogram bit for bit.  Linearity of the Gray image is
+decided exactly, without enumeration, by the Z4-linearity criterion on
+pairs of generating rows.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from random import Random
 
 import numpy as np
 
@@ -22,9 +23,9 @@ from .code import (
     DEFAULT_ENUM_CAP,
     DoubleCyclicCode,
     code_size,
-    codeword_at,
     contains,
     from_concat,
+    minimal_generating_set,
 )
 from .errors import DimensionMismatch, EnumerationCapExceeded, ZeroCode
 
@@ -124,88 +125,48 @@ def min_lee_distance(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
 class GrayImageParams:
     """Binary parameters (n, M, d) of the Gray image, plus linearity.
 
-    linear_image is True/False when certified (full closure check for
-    images up to 2^16 words, or an explicit violating pair), and None
-    when a sampled search found no violation but could not certify
-    linearity.  For a nonlinear image, witness holds two image words
-    whose XOR is not an image word.
+    linear_image is always certified (see image_params).  For a
+    nonlinear image, witness holds two image words whose XOR is not an
+    image word.
     """
 
     n: int
     M: int
     d: int | None
-    linear_image: bool | None
+    linear_image: bool
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None
 
 
-_FULL_CHECK_LIMIT = 1 << 16
+def image_params(c: DoubleCyclicCode, enum: LeeEnumerator) -> GrayImageParams:
+    """Gray image parameters from an already computed Lee enumerator.
 
-
-def _packed_words(be: BlockEnumerator) -> tuple[list[int], np.ndarray]:
-    ints = []
-    blocks = []
-    for h in range(be.nblocks):
-        blk = be.block(h)
-        bits = _GRAY_LUT[blk].reshape(blk.shape[0], -1)
-        blocks.append(bits)
-        packed = np.packbits(bits, axis=1)
-        ints.extend(int.from_bytes(row.tobytes(), "big") for row in packed)
-    return ints, np.concatenate(blocks, axis=0)
-
-
-def _span_dimension(words: list[int]) -> int:
-    lead: dict[int, int] = {}
-    for w in words:
-        cur = w
-        while cur:
-            bl = cur.bit_length()
-            if bl in lead:
-                cur ^= lead[bl]
-            else:
-                lead[bl] = cur
-                break
-    return len(lead)
+    phi(C) is linear iff 2(u*v) lies in C for all u, v in C (Hammons,
+    Kumar, Calderbank, Sloane, Sole 1994; * is the componentwise
+    product).  2(u*v) depends only on the residues of u and v and is
+    bilinear over F2, so pairs of generating rows suffice, and only rows
+    with an odd entry matter (an all-even row has zero residue).  The
+    order label of a row is no substitute: a row labelled 2 can have an
+    odd entry.  A failing pair (g, h) is the witness: phi(g) XOR phi(h)
+    = phi(g + h + 2(g*h)), which is outside the image exactly when
+    2(g*h) is outside C.
+    """
+    M = code_size(c)
+    d = enum.min_nonzero_weight() if M > 1 else None
+    rows = [w for w in (v.concat() for v, _ in minimal_generating_set(c))
+            if any(a & 1 for a in w)]
+    for i, g in enumerate(rows):
+        for h in rows[:i]:
+            w = tuple(2 * (a & b & 1) for a, b in zip(g, h))
+            if not contains(c, from_concat(w, c.r, c.s)):
+                return GrayImageParams(2 * (c.r + c.s), M, d, False,
+                                       (gray_map(g), gray_map(h)))
+    return GrayImageParams(2 * (c.r + c.s), M, d, True, None)
 
 
 def gray_image_params(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
-                      jobs: int = 1, sample_pairs: int = 512,
-                      seed: int = 0) -> GrayImageParams:
-    """Report (2(r+s), |C|, min Lee distance, linearity) of the Gray image.
-
-    Nonlinearity is certified only by an explicit XOR witness; linearity
-    only by the full closure check (via the F2 span dimension of the
-    image, which is exact).  Beyond the full-check limit a seeded pair
-    sample hunts for a witness and reports None when it finds nothing.
-    """
-    M = code_size(c)
-    if M > cap:
-        raise EnumerationCapExceeded(f"code size {M} exceeds cap {cap}")
-    n = 2 * (c.r + c.s)
-    if M == 1:
-        return GrayImageParams(n, 1, None, True, None)
-    d = min_lee_distance(c, cap=cap, jobs=jobs)
-    if M <= _FULL_CHECK_LIMIT:
-        be = BlockEnumerator(c)
-        ints, bits = _packed_words(be)
-        if 2 ** _span_dimension(ints) == M:
-            return GrayImageParams(n, M, d, True, None)
-        word_set = set(ints)
-        for i, u in enumerate(ints):
-            for j in range(i + 1):
-                if (u ^ ints[j]) not in word_set:
-                    witness = (tuple(int(b) for b in bits[i]),
-                               tuple(int(b) for b in bits[j]))
-                    return GrayImageParams(n, M, d, False, witness)
-        raise AssertionError("span said nonlinear but no witness exists")
-    rng = Random(seed)
-    for _ in range(sample_pairs):
-        u = codeword_at(c, rng.randrange(M))
-        v = codeword_at(c, rng.randrange(M))
-        gu, gv = gray_map(u.concat()), gray_map(v.concat())
-        x = tuple(a ^ b for a, b in zip(gu, gv))
-        if not contains(c, from_concat(gray_inverse(x), c.r, c.s)):
-            return GrayImageParams(n, M, d, False, (gu, gv))
-    return GrayImageParams(n, M, d, None, None)
+                      jobs: int = 1) -> GrayImageParams:
+    """Report (2(r+s), |C|, min Lee distance, linearity) of the Gray image."""
+    return image_params(c, lee_enumerator(c, cap=cap, jobs=jobs))
 
 
 def gray_words(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP):

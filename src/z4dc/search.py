@@ -21,7 +21,7 @@ from .code import (
     spec_dict,
     validate,
 )
-from .errors import LatticeTooLarge, MixingConstraintViolation, Z4DCError
+from .errors import LatticeTooLarge, Z4DCError
 from .gray import lee_enumerator
 from .z4poly import Poly, ZERO, canon, degree, hensel_lift, mul, xn_minus_1
 
@@ -139,8 +139,6 @@ def _try_validate(cand: dict) -> DoubleCyclicCode | None:
         return validate(cand["r"], cand["s"], f1=cand.get("f1"),
                         g1=cand.get("g1"), l=cand.get("l"),
                         f2=cand.get("f2"), g2=cand.get("g2"))
-    except MixingConstraintViolation:
-        return None
     except Z4DCError:
         return None
 

@@ -226,17 +226,3 @@ def inverse_mod_monic(a: Poly, m: Poly) -> Poly:
         raise InternalCheckFailed("Newton lift of modular inverse failed")
     return b
 
-
-def factor_cyclic_f2(n: int) -> frozenset[f2poly.Poly]:
-    """Distinct irreducible factors of x^n - 1 over F2, n odd.
-
-    Thin re-export so ring users need not import f2poly directly.
-    """
-    return f2poly.factor_cyclic(n)
-
-
-def to_text(a: Poly) -> str:
-    """Canonical text rendering; see polytext for the grammar."""
-    from .polytext import render
-
-    return render(a)

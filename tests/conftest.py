@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The oracles here are deliberately naive re-implementations (longhand
-convolution, exhaustive span enumeration, shift-by-shift inner
-products) kept separate from the library paths they check.
+convolution, exhaustive span enumeration, exhaustive Gray-image
+closure, shift-by-shift inner products) kept separate from the library
+paths they check.
 """
 
 from __future__ import annotations
@@ -69,6 +70,36 @@ def brute_span(rows, ncols):
                   for k in range(ncols))
         out.add(v)
     return out
+
+
+# -- exhaustive Gray-image oracle -----------------------------------------
+
+
+def bits_to_int(bits):
+    """A 0/1 word as an integer, first bit most significant."""
+    return int("".join(str(b) for b in bits) or "0", 2)
+
+
+def gray_image_words(c):
+    """The Gray image of c as a set of integers, by full enumeration."""
+    from z4dc.code import enumerate_codewords
+    from z4dc.gray import gray_map
+
+    return {bits_to_int(gray_map(v.concat())) for v in enumerate_codewords(c)}
+
+
+def gray_image_is_linear(words):
+    """Exhaustive closure oracle: a set of binary words containing 0 is
+    linear iff its F2 span has no more elements than the set."""
+    lead = {}
+    for w in words:
+        while w:
+            top = w.bit_length()
+            if top not in lead:
+                lead[top] = w
+                break
+            w ^= lead[top]
+    return 2 ** len(lead) == len(words)
 
 
 # -- random code factory ---------------------------------------------------

@@ -41,6 +41,21 @@ class TestAnalyze:
         assert report["gray"]["linear_image"] is False
         assert "timing" not in report
 
+    def test_enumerates_the_code_once(self, kerdock_spec, monkeypatch,
+                                      capsys):
+        from z4dc import code
+
+        built = []
+        init = code.BlockEnumerator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(code.BlockEnumerator, "__init__", counting_init)
+        assert cli.main(["analyze", kerdock_spec, "--no-timing"]) == 0
+        assert len(built) == 1
+
     def test_byte_identical_without_timing(self, kerdock_spec, capsys):
         cli.main(["analyze", kerdock_spec, "--no-timing"])
         first = capsys.readouterr().out

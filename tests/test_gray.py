@@ -1,11 +1,25 @@
 """Lee metric, Gray map, enumerators, and Gray-image parameters."""
 
-import pytest
+import itertools
 
-from conftest import random_code
-from z4dc import gray
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    bits_to_int,
+    divisor_lattice_of,
+    gray_image_is_linear,
+    gray_image_words,
+    random_code,
+)
+from z4dc import gray, z4poly
 from z4dc.code import code_size, contains, from_concat, validate
-from z4dc.errors import DimensionMismatch, EnumerationCapExceeded, ZeroCode
+from z4dc.errors import (
+    DimensionMismatch,
+    EnumerationCapExceeded,
+    Z4DCError,
+    ZeroCode,
+)
 from z4dc.polytext import parse
 
 
@@ -119,6 +133,64 @@ class TestGrayImageParams:
                      g2=(1,))
         p = gray.gray_image_params(c)
         assert p.linear_image is True and p.witness is None
+
+    def test_large_two_torsion_code_is_certified_linear(self):
+        # 2 * Z4^18: 2^18 words, certified from its generating rows
+        # without enumerating the image
+        c = validate(9, 9, f1=parse("x^9+3"), g1=(1,), f2=parse("x^9+3"),
+                     g2=(1,))
+        p = gray.gray_image_params(c)
+        assert (p.M, p.d) == (2 ** 18, 2)
+        assert p.linear_image is True and p.witness is None
+
+    @staticmethod
+    def assert_matches_closure(c):
+        image = gray_image_words(c)
+        p = gray.gray_image_params(c)
+        assert p.linear_image == gray_image_is_linear(image)
+        assert (p.witness is None) == p.linear_image
+        if p.witness is not None:
+            u, v = (bits_to_int(w) for w in p.witness)
+            assert u in image and v in image and u ^ v not in image
+
+    def test_radix_two_rows_with_odd_entries_count(self):
+        # three S4 rows (h2*l | 2*h2*g2) with odd left parts and no row
+        # of radix 4: 2(g0*g1) = (0,2,0|0,0,0) is not in C, because the
+        # zero-right subcode is 2<x+1>, the doubled even-weight words
+        c = validate(3, 3, f1=parse("x^3+3"), g1=parse("x+3"),
+                     l=parse("x+1"), f2=parse("x^3+3"), g2=(1,))
+        assert code_size(c) == 32
+        assert not contains(c, from_concat((0, 2, 0, 0, 0, 0), 3, 3))
+        p = gray.gray_image_params(c)
+        assert p.linear_image is False
+        self.assert_matches_closure(c)
+
+    def test_criterion_matches_closure_on_every_short_code(self):
+        # every valid code with r, s in {1, 3}, all mixing polynomials
+        def chains(n):
+            lattice = divisor_lattice_of(n)
+            return [(f, g) for f in lattice for g in lattice
+                    if z4poly.divides(g, f)]
+
+        seen = set()
+        for r, s in itertools.product((1, 3), repeat=2):
+            for (f1, g1), (f2, g2) in itertools.product(chains(r), chains(s)):
+                for l in itertools.product(range(4), repeat=z4poly.degree(f1)):
+                    try:
+                        c = validate(r, s, f1=f1, g1=g1, l=l, f2=f2, g2=g2)
+                    except Z4DCError:
+                        continue
+                    if c not in seen:
+                        seen.add(c)
+                        self.assert_matches_closure(c)
+        assert len(seen) == 1368
+
+    # st.randoms(use_true_random=False) draws every choice random_code
+    # makes from hypothesis, so a failure shrinks to a small code
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_criterion_matches_exhaustive_closure(self, rnd):
+        self.assert_matches_closure(random_code(rnd, max_size=2 ** 12))
 
     def test_zero_code_params(self):
         p = gray.gray_image_params(validate(1, 3))
