@@ -13,6 +13,7 @@ enumeration or dimension cap exceeded (--force lifts the caps).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -36,8 +37,7 @@ from .dual import (
 from .errors import (
     DimensionCapExceeded,
     EnumerationCapExceeded,
-    NotFree,
-    NotInvertible,
+    InvalidInput,
     PolyParseError,
     Z4DCError,
 )
@@ -49,7 +49,10 @@ UNCAPPED = 1 << 62
 
 def _default_cap() -> int:
     env = os.environ.get(ENV_MAX_ENUM)
-    return int(env) if env else DEFAULT_ENUM_CAP
+    try:
+        return int(env) if env else DEFAULT_ENUM_CAP
+    except ValueError:
+        raise InvalidInput(f"${ENV_MAX_ENUM} must be an integer, got {env!r}") from None
 
 
 def _load_spec(path: str) -> dict:
@@ -205,14 +208,10 @@ def cmd_search(args) -> int:
 def cmd_gray_export(args) -> int:
     cap = UNCAPPED if args.force else args.max_enum
     c = from_spec_dict(_load_spec(args.spec))
-    lines = gray.gray_words(c, cap=cap)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    else:
-        for line in lines:
-            print(line)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for line in gray.gray_words(c, cap=cap):
+            fh.write(line + "\n")
     return 0
 
 
@@ -274,14 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "max_enum", None) is None and args.command != "search":
-        args.max_enum = _default_cap()
     try:
+        if args.jobs < 1:
+            raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
+        if args.max_enum is None and args.command != "search":
+            args.max_enum = _default_cap()
         return args.fn(args)
     except (EnumerationCapExceeded, DimensionCapExceeded) as exc:
         return _error_exit(exc, 3)
-    except (NotFree, NotInvertible) as exc:
-        return _error_exit(exc, 2)
     except Z4DCError as exc:
         return _error_exit(exc, 2)
     except json.JSONDecodeError as exc:

@@ -16,12 +16,15 @@ are compared by span, not by coefficients.
 Codes are immutable after validation; enumeration is a deterministic
 mixed-radix counter (S1 digits most significant, then S2, S3, S4, each
 coefficient block ascending) whose index space partitions into
-contiguous sub-ranges for parallel consumers.
+contiguous sub-ranges for parallel consumers.  One engine,
+BlockEnumerator, produces it, on codewords packed in 2-bit lanes of
+uint64 words (pack) that add mod 4 lane by lane (lane_add).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -36,6 +39,7 @@ from .errors import (
     EnumerationCapExceeded,
     EvenLength,
     InternalCheckFailed,
+    InvalidInput,
     MixingConstraintViolation,
     NotMonic,
 )
@@ -60,6 +64,7 @@ from .z4poly import (
 )
 
 DEFAULT_ENUM_CAP = 1 << 26
+LO = np.uint64(0x5555555555555555)  # the low bit of every 2-bit lane
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,6 @@ class CodeVector:
 
     def concat(self) -> tuple[int, ...]:
         return self.left + self.right
-
-
-def vector(left, right) -> CodeVector:
-    return CodeVector(tuple(c % 4 for c in left), tuple(c % 4 for c in right))
 
 
 def from_concat(v, r: int, s: int) -> CodeVector:
@@ -211,12 +212,10 @@ def ideal_contains(gen: Poly, n: int, w: Poly) -> bool:
 
 
 def _check_chain(gsmall: Poly, gbig: Poly, modulus: Poly, names: str):
-    if not divides(gsmall, gbig):
-        raise BrokenDivisibilityChain(f"chain broken: {names.split(' | ')[0]} "
-                                      f"does not divide {names.split(' | ')[1]}")
-    if not divides(gbig, modulus):
-        raise BrokenDivisibilityChain(f"chain broken: {names.split(' | ')[1]} "
-                                      f"does not divide {names.split(' | ')[2]}")
+    small, big, mod = names.split(" | ")
+    for a, b, na, nb in ((gsmall, gbig, small, big), (gbig, modulus, big, mod)):
+        if not divides(a, b):
+            raise BrokenDivisibilityChain(f"chain broken: {na} does not divide {nb}")
 
 
 def validate(r: int, s: int, f1: Poly | None = None, g1: Poly | None = None,
@@ -304,10 +303,14 @@ def validate(r: int, s: int, f1: Poly | None = None, g1: Poly | None = None,
 
 def from_spec_dict(d: dict) -> DoubleCyclicCode:
     """Build a code from the JSON spec form (strings or coefficient arrays)."""
-    kwargs = {}
-    for key in ("f1", "g1", "l", "f2", "g2"):
-        if key in d and d[key] is not None:
-            kwargs[key] = polytext.from_json(d[key])
+    poly_keys = ("f1", "g1", "l", "f2", "g2")
+    if not isinstance(d, dict) or not {"r", "s"} <= d.keys() <= {"r", "s", *poly_keys}:
+        raise InvalidInput(f"spec must be an object with keys r, s and optionally "
+                           f"f1, g1, l, f2, g2, got {d!r:.80}")
+    for key in ("r", "s"):
+        if type(d[key]) is not int:  # bool is an int subclass
+            raise InvalidInput(f"{key} must be an integer, got {d[key]!r:.40}")
+    kwargs = {k: polytext.from_json(d[k]) for k in poly_keys if d.get(k) is not None}
     return validate(d["r"], d["s"], **kwargs)
 
 
@@ -387,29 +390,32 @@ def enumeration_basis(c: DoubleCyclicCode):
     return rows, radices
 
 
-def _digits_of(index: int, radices: list[int]) -> list[int]:
-    digits = [0] * len(radices)
-    for pos in range(len(radices) - 1, -1, -1):
-        index, digits[pos] = divmod(index, radices[pos])
-    return digits
+def pack(vectors, n: int) -> np.ndarray:
+    """(m, ceil(n/32)) uint64 words of m length-n vectors, symbol j in
+    the 2-bit lane at bits 2j and 2j+1 of word j // 32."""
+    m, nwords = len(vectors), -(-n // 32)
+    sym = np.zeros((m, nwords * 32), dtype=np.uint64)
+    sym[:, :n] = np.array(vectors, dtype=np.uint64).reshape(m, n) % 4
+    lanes = sym.reshape(m, nwords, 32) << (2 * np.arange(32, dtype=np.uint64))
+    return np.bitwise_or.reduce(lanes, axis=2)
 
 
-def codeword_at(c: DoubleCyclicCode, index: int) -> CodeVector:
-    """The index-th codeword of the canonical enumeration order."""
-    rows, radices = enumeration_basis(c)
-    digits = _digits_of(index, radices)
-    n = c.r + c.s
-    acc = [0] * n
-    for d, row in zip(digits, rows):
-        if d:
-            for k in range(n):
-                acc[k] = (acc[k] + d * row[k]) % 4
-    return from_concat(acc, c.r, c.s)
+def unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """(m, n) uint8 symbols of m packed vectors, the inverse of pack."""
+    j = np.arange(n)
+    return ((words[:, j // 32] >> (2 * (j % 32)).astype(np.uint64)) & 3).astype(np.uint8)
+
+
+def lane_add(x: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Lane-wise sum mod 4: the low bits add by XOR and their carry goes
+    into the high bit of the same lane, never into the next lane."""
+    return x ^ o ^ ((x & o & LO) << 1)
 
 
 def enumerate_codewords(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
                         start: int = 0, stop: int | None = None) -> Iterator[CodeVector]:
-    """Stream the codewords for indices [start, stop) in counter order.
+    """Stream the codewords for indices [start, stop) in counter order,
+    decoded from the blocks of BlockEnumerator.
 
     Yields exactly code_size(c) distinct vectors over the full range;
     disjoint sub-ranges may be consumed by parallel workers.
@@ -419,36 +425,21 @@ def enumerate_codewords(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
         raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
     if stop is None:
         stop = size
-    rows, radices = enumeration_basis(c)
-    n = c.r + c.s
-    digits = _digits_of(start, radices)
-    acc = list(codeword_at(c, start).concat()) if start else [0] * n
-    idx = start
-    while idx < stop:
-        yield CodeVector(tuple(acc[:c.r]), tuple(acc[c.r:]))
-        idx += 1
-        pos = len(digits) - 1
-        while pos >= 0:
-            digits[pos] += 1
-            row = rows[pos]
-            if digits[pos] < radices[pos]:
-                for k in range(n):
-                    acc[k] = (acc[k] + row[k]) % 4
-                break
-            digits[pos] = 0
-            back = radices[pos] - 1
-            for k in range(n):
-                acc[k] = (acc[k] - back * row[k]) % 4
-            pos -= 1
+    be = BlockEnumerator(c)
+    for h in range(start // be.block_size, -(-stop // be.block_size)):
+        lo = h * be.block_size
+        for v in unpack(be.block(h), be.ncols)[max(start - lo, 0):stop - lo].tolist():
+            yield CodeVector(tuple(v[:c.r]), tuple(v[c.r:]))
 
 
 class BlockEnumerator:
-    """Vectorized view of the enumeration order in contiguous blocks.
+    """The enumeration order in contiguous blocks of packed codewords.
 
-    Block h holds codewords with indices [h*block_size, (h+1)*block_size):
-    the trailing digits are precomputed as a table, the leading digits
-    become a per-block offset vector.  Output is bit-identical to the
-    scalar enumeration.
+    Block h holds the codewords with indices [h*block_size,
+    (h+1)*block_size) as one (block_size, nwords) uint64 array in the
+    lanes of pack, nwords = ceil((r+s)/32).  The trailing digits are a
+    table built once by lane-wise addition; the leading digits of h
+    become one offset word vector that each block adds to the table.
     """
 
     def __init__(self, c: DoubleCyclicCode, max_block: int = 1 << 16):
@@ -459,29 +450,33 @@ class BlockEnumerator:
         while split > 0 and width * radices[split - 1] <= max_block:
             width *= radices[split - 1]
             split -= 1
-        self.code = c
         self.ncols = n
+        self.nwords = -(-n // 32)
         self.block_size = width
-        self._high = list(zip(rows[:split], radices[:split]))
-        self.nblocks = 1
-        for _, rad in self._high:
-            self.nblocks *= rad
-        table = np.zeros((1, n), dtype=np.int8)
-        for row, rad in zip(rows[split:], radices[split:]):
-            vals = np.arange(rad, dtype=np.int8)[None, :, None]
-            rowv = np.asarray(row, dtype=np.int8)[None, None, :]
-            table = ((table[:, None, :] + vals * rowv) % 4).reshape(-1, n)
-        self._table = table
+        self.nblocks = math.prod(radices[:split])
+        # multiples[i][d] is d times row i, packed
+        multiples = [pack([[d * x for x in row] for d in range(rad)], n)
+                     for row, rad in zip(rows, radices)]
+        self._high = multiples[:split]
+        table = np.zeros((1, self.nwords), dtype=np.uint64)
+        for mult in multiples[split:]:
+            table = lane_add(table[:, None, :], mult[None, :, :]).reshape(-1, self.nwords)
+        # column-major, so each word column is one contiguous run
+        self._table = np.asfortranarray(table)
 
     def block(self, h: int) -> np.ndarray:
-        """(block_size, r+s) array of codewords for block h."""
-        offset = np.zeros(self.ncols, dtype=np.int8)
-        rem = h
-        for row, rad in reversed(self._high):
-            rem, d = divmod(rem, rad)
+        """(block_size, nwords) packed codewords of block h, column-major."""
+        offset = np.zeros(self.nwords, dtype=np.uint64)
+        for mult in reversed(self._high):
+            h, d = divmod(h, len(mult))
             if d:
-                offset = (offset + d * np.asarray(row, dtype=np.int8)) % 4
-        return (self._table + offset) % 4
+                offset = lane_add(offset, mult[d])
+        # lane_add(table, offset), in place on one new array
+        out = self._table & (offset & LO)
+        out <<= 1
+        out ^= self._table
+        out ^= offset
+        return out
 
 
 # -- ideal canonicalization and residue code ----------------------------
@@ -525,9 +520,8 @@ def canonicalize_ideal(spanning, n: int) -> tuple[Poly, Poly]:
 class ResidueCode:
     """The mod-2 image: a binary double cyclic code of the same lengths.
 
-    Stored as residue generators; the generating matrix carries {0,1}
-    entries inside a MatZ4 container, with membership and size computed
-    over F2.
+    Stored as residue generators; membership and size are computed over
+    F2 from the {0,1} generator rows.
     """
 
     r: int
@@ -549,9 +543,6 @@ class ResidueCode:
             lpart = [lpart[-1]] + lpart[:-1]
             rpart = [rpart[-1]] + rpart[:-1]
         return [row for row in rows if any(row)]
-
-    def matrix(self) -> linalg.MatZ4:
-        return linalg.MatZ4(tuple(self.generator_rows()), self.r + self.s)
 
     def _rref(self) -> tuple[list[int], list[int]]:
         return f2poly.rref(f2poly.to_bits(row) for row in self.generator_rows())

@@ -352,9 +352,7 @@ class ResidueDualCheck:
 
         return {"F1bar_hat": fp(self.F1bar_hat), "lbar_hat": fp(self.lbar_hat),
                 "F2bar_hat": fp(self.F2bar_hat), "nubar": fp(self.nubar),
-                "lambda": None if self.lambda_z4 is None else polytext.render(self.lambda_z4),
-                "mu": None if self.mu_z4 is None else polytext.render(self.mu_z4),
-                "nu": None if self.nu_z4 is None else polytext.render(self.nu_z4),
+                "lambda": fp(self.lambda_z4), "mu": fp(self.mu_z4), "nu": fp(self.nu_z4),
                 "checks": dict(self.checks), "all_ok": self.all_ok()}
 
 
@@ -479,10 +477,6 @@ class ProjectionReport:
     f: Poly
     g: Poly
     size: int
-
-    def to_json(self) -> dict:
-        return {"f": polytext.render(self.f), "g": polytext.render(self.g),
-                "size": self.size}
 
 
 def _projection(c: DoubleCyclicCode, cols, spanning, n: int) -> ProjectionReport:

@@ -98,6 +98,10 @@ class NotMonic(Z4DCError):
     invariant = "combined generators must have unit leading coefficients"
 
 
+class InvalidInput(Z4DCError):
+    invariant = "spec and options must have their documented form"
+
+
 class PolyParseError(Z4DCError):
     """Raised on malformed polynomial text; names the violated grammar rule."""
 

@@ -8,6 +8,8 @@ factorization of the squarefree polynomial x^n - 1 (n odd).
 
 from __future__ import annotations
 
+import functools
+
 from .errors import BothZero, EvenLength, InternalCheckFailed
 
 Poly = tuple[int, ...]
@@ -155,8 +157,10 @@ def _left_nullspace(rows: list[Poly], d: int) -> list[Poly]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def factor_cyclic(n: int) -> frozenset[Poly]:
-    """Distinct monic irreducible factors of x^n - 1 over F2.
+    """Distinct monic irreducible factors of x^n - 1 over F2 (cached: the
+    frozenset is immutable and callers ask again for the same few n).
 
     n odd makes x^n - 1 squarefree, so plain Berlekamp splitting applies:
     the nullity of the Frobenius-minus-identity map counts the factors,

@@ -4,8 +4,10 @@ Symbol Lee weights over Z4 are 0, 1, 2, 1 for 0, 1, 2, 3; the Gray map
 sends 0, 1, 2, 3 to 00, 01, 11, 10 and is distance-preserving from Lee
 to Hamming (but not additive).  Minimum Lee distance equals minimum
 nonzero Lee weight because codes are Z4-linear, and is certified by
-exhaustive enumeration; weight histograms are computed blockwise with
-64-bit counters and merge associatively, so sharded runs reproduce the
+exhaustive enumeration of codewords packed in 2-bit lanes (code.pack):
+the Lee weight of a codeword is the popcount of its Gray image words
+(gray_lanes).  Weight histograms are computed blockwise with 64-bit
+counters and merge associatively, so sharded runs reproduce the
 sequential histogram bit for bit.  Linearity of the Gray image is
 decided exactly, without enumeration, by the Z4-linearity criterion on
 pairs of generating rows.
@@ -21,19 +23,19 @@ import numpy as np
 from .code import (
     BlockEnumerator,
     DEFAULT_ENUM_CAP,
+    LO,
     DoubleCyclicCode,
     code_size,
     contains,
     from_concat,
     minimal_generating_set,
+    unpack,
 )
 from .errors import DimensionMismatch, EnumerationCapExceeded, ZeroCode
 
 LEE_WEIGHTS = (0, 1, 2, 1)
 _GRAY_PAIRS = ((0, 0), (0, 1), (1, 1), (1, 0))
 _GRAY_INV = {pair: sym for sym, pair in enumerate(_GRAY_PAIRS)}
-_LEE_LUT = np.array(LEE_WEIGHTS, dtype=np.int64)
-_GRAY_LUT = np.array(_GRAY_PAIRS, dtype=np.uint8)
 
 
 def lee_weight_symbol(a: int) -> int:
@@ -86,11 +88,28 @@ class LeeEnumerator:
         return sorted(self.counts.items())
 
 
+def gray_lanes(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Gray image of packed codewords, lane by lane: a symbol with
+    bits (a1, a0) becomes (a1, a0 ^ a1), whose value in binary is its
+    Gray pair."""
+    out = np.right_shift(words, 1, out=out)
+    out &= LO
+    out ^= words
+    return out
+
+
+def _lee_weights(words: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Lee weight of each packed codeword: the popcount of its Gray image
+    (built in buf, shaped like words), the Gray map being an isometry."""
+    return np.bitwise_count(gray_lanes(words, buf)).sum(axis=1, dtype=np.intp)
+
+
 def _histogram_range(be: BlockEnumerator, lo: int, hi: int) -> np.ndarray:
     acc = np.zeros(2 * be.ncols + 1, dtype=np.int64)
+    # one Gray buffer per range: a fresh one per block costs page faults
+    buf = np.empty((be.block_size, be.nwords), dtype=np.uint64, order="F")
     for h in range(lo, hi):
-        weights = _LEE_LUT[be.block(h)].sum(axis=1)
-        acc += np.bincount(weights, minlength=acc.size)
+        acc += np.bincount(_lee_weights(be.block(h), buf), minlength=acc.size)
     return acc
 
 
@@ -177,6 +196,7 @@ def gray_words(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP):
         raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
     be = BlockEnumerator(c)
     for h in range(be.nblocks):
-        bits = _GRAY_LUT[be.block(h)].reshape(be.block_size, -1)
-        for row in bits:
-            yield "".join("1" if b else "0" for b in row)
+        pairs = unpack(gray_lanes(be.block(h)), be.ncols)
+        chars = np.stack((pairs >> 1, pairs & 1), axis=2) + ord("0")
+        for row in chars.reshape(be.block_size, -1):
+            yield row.tobytes().decode()

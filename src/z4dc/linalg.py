@@ -147,12 +147,7 @@ def span_size(h: HowellForm) -> int:
 
 def membership(h: HowellForm, v) -> bool:
     """True iff v lies in the row span."""
-    v = list(v)
-    if len(v) != h.matrix.ncols:
-        raise DimensionMismatch(
-            f"vector length {len(v)} != ncols {h.matrix.ncols}")
-    rows = [list(r) for r in h.matrix.rows]
-    return not any(_reduce([c % 4 for c in v], rows, list(h.pivots)))
+    return not any(coset_representative(h, tuple(v)))
 
 
 def coset_representative(h: HowellForm, v) -> tuple[int, ...]:

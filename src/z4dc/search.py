@@ -108,28 +108,21 @@ def iter_candidates(r: int, s: int, forms=("i", "ii", "iii"),
     """
     D_r = divisor_lattice(r, lattice_bound)
     D_s = divisor_lattice(s, lattice_bound)
-    sent_r, sent_s = xn_minus_1(r), xn_minus_1(s)
+    # (g, f) pairs without the sentinel f = g = x^n-1 of an absent block
+    pairs_r = [(g, f) for g, f in _divisor_pairs(D_r) if not f == g == xn_minus_1(r)]
+    pairs_s = [(g, f) for g, f in _divisor_pairs(D_s) if not f == g == xn_minus_1(s)]
     if "i" in forms:
-        for g1, f1 in _divisor_pairs(D_r):
-            if f1 == sent_r and g1 == sent_r:
-                continue  # the zero code
+        for g1, f1 in pairs_r:
             yield {"r": r, "s": s, "f1": f1, "g1": g1}
     if "ii" in forms:
         bound = r if max_l_degree is None else min(max_l_degree, r)
-        for g2, f2 in _divisor_pairs(D_s):
-            if f2 == sent_s and g2 == sent_s:
-                continue
+        for g2, f2 in pairs_s:
             for l in _l_candidates(bound):
                 yield {"r": r, "s": s, "l": l, "f2": f2, "g2": g2}
     if "iii" in forms:
-        for g1, f1 in _divisor_pairs(D_r):
-            if f1 == sent_r and g1 == sent_r:
-                continue
-            t1 = degree(f1)
-            for g2, f2 in _divisor_pairs(D_s):
-                if f2 == sent_s and g2 == sent_s:
-                    continue
-                for l in _l_candidates(t1):
+        for g1, f1 in pairs_r:
+            for g2, f2 in pairs_s:
+                for l in _l_candidates(degree(f1)):
                     yield {"r": r, "s": s, "f1": f1, "g1": g1, "l": l,
                            "f2": f2, "g2": g2}
 

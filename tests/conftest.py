@@ -82,10 +82,35 @@ def bits_to_int(bits):
 
 def gray_image_words(c):
     """The Gray image of c as a set of integers, by full enumeration."""
-    from z4dc.code import enumerate_codewords
     from z4dc.gray import gray_map
 
-    return {bits_to_int(gray_map(v.concat())) for v in enumerate_codewords(c)}
+    return {bits_to_int(gray_map(w)) for w in counter_words(c)}
+
+
+# -- enumeration order oracle -----------------------------------------------
+
+
+def counter_words(c):
+    """Every codeword of c as a tuple, in the library's enumeration order,
+    by a scalar mixed-radix digit counter over the generating rows (the
+    last row is the least significant digit; a digit that wraps
+    subtracts radix-1 copies of its row and carries)."""
+    from z4dc.code import code_size, enumeration_basis
+
+    rows, radices = enumeration_basis(c)
+    digits = [0] * len(radices)
+    acc = [0] * (c.r + c.s)
+    for _ in range(code_size(c)):
+        yield tuple(acc)
+        pos = len(digits) - 1
+        while pos >= 0:
+            digits[pos] += 1
+            if digits[pos] < radices[pos]:
+                acc = [(a + b) % 4 for a, b in zip(acc, rows[pos])]
+                break
+            digits[pos] = 0
+            acc = [(a - (radices[pos] - 1) * b) % 4 for a, b in zip(acc, rows[pos])]
+            pos -= 1
 
 
 def gray_image_is_linear(words):
@@ -138,6 +163,45 @@ def random_code(rng, r_choices=(1, 3, 5, 7), s_choices=(1, 3, 5, 7),
                 continue
         return c
     raise AssertionError("random_code failed to produce a valid code")
+
+
+def shaped_code(rnd, r, s, max_bits, min_bits=0, max_tries=200):
+    """A valid code of lengths (r, s) with 2^min_bits <= |C| <= 2^max_bits.
+
+    Each residue factor p of x^r-1 (then x^s-1) becomes a full (4^deg p),
+    2-torsion (2^deg p) or zero component of that side's generator, at
+    random among the kinds the remaining size budget allows; a random
+    mixing polynomial is kept when it validates, else l = 0.
+    """
+    from z4dc.code import code_size
+
+    for _ in range(max_tries):
+        budget = max_bits
+        chains = []
+        for n in (r, s):
+            fbar = gbar = f2poly.ONE
+            factors = sorted(f2poly.factor_cyclic(n))
+            rnd.shuffle(factors)
+            for p in factors:
+                deg = f2poly.degree(p)
+                kind = rnd.choice([k for k, cost in enumerate((2 * deg, deg, 0))
+                                   if cost <= budget])
+                budget -= (2 * deg, deg, 0)[kind]
+                if kind:
+                    fbar = f2poly.mul(fbar, p)
+                if kind == 2:
+                    gbar = f2poly.mul(gbar, p)
+            chains.append((z4poly.hensel_lift(fbar, n), z4poly.hensel_lift(gbar, n)))
+        (f1, g1), (f2, g2) = chains
+        for l in (random_poly(rnd, max(z4poly.degree(f1) - 1, 0)), ()):
+            try:
+                c = validate(r, s, f1=f1, g1=g1, l=l, f2=f2, g2=g2)
+            except Z4DCError:
+                continue
+            if code_size(c) >= 2 ** min_bits:
+                return c
+            break
+    raise AssertionError("shaped_code failed to produce a code of that size")
 
 
 def gcd_f2_oracle(a, b):

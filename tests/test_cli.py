@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from z4dc import cli, gray
+from z4dc import cli, code, gray
 import numpy as np
 
 
@@ -182,12 +182,59 @@ class TestVerifyExamples:
         assert enum_rows and enum_rows[0]["enumerator_reading"] == "counts-only"
 
     def test_mutated_lee_table_fails(self, capsys, monkeypatch):
-        # mutation sanity: an off-by-one Lee table must flip case 1 to FAIL
-        monkeypatch.setattr(gray, "_LEE_LUT",
-                            np.array([0, 1, 2, 2], dtype=np.int64))
+        # mutation sanity: an off-by-one Lee kernel (symbol 3 weighing 2,
+        # one lane (1, 1) counted once more) must flip case 1 to FAIL
+        kernel = gray._lee_weights
+
+        def off_by_one(words, buf):
+            threes = np.bitwise_count(words & (words >> 1) & code.LO)
+            return kernel(words, buf) + threes.sum(axis=1, dtype=np.intp)
+
+        monkeypatch.setattr(gray, "_lee_weights", off_by_one)
         rc = cli.main(["verify-examples", "--only", "1"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestInputContract:
+    """Malformed specs and options exit 2 with the error object."""
+
+    @staticmethod
+    def run_spec(tmp_path, capsys, spec, *flags):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = cli.main(["analyze", str(path), *flags])
+        return rc, json.loads(capsys.readouterr().err)["error"]
+
+    def test_empty_spec(self, tmp_path, capsys):
+        rc, err = self.run_spec(tmp_path, capsys, {})
+        assert (rc, err["type"]) == (2, "InvalidInput")
+
+    def test_spec_that_is_not_an_object(self, tmp_path, capsys):
+        rc, err = self.run_spec(tmp_path, capsys, [1, 2])
+        assert (rc, err["type"]) == (2, "InvalidInput")
+
+    def test_boolean_length(self, tmp_path, capsys):
+        rc, err = self.run_spec(tmp_path, capsys, {"r": True, "s": 7})
+        assert (rc, err["type"]) == (2, "InvalidInput")
+        assert "r must be an integer" in err["message"]
+
+    def test_non_integer_cap_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_MAX_ENUM, "abc")
+        rc, err = self.run_spec(tmp_path, capsys, {"r": 1, "s": 7})
+        assert (rc, err["type"]) == (2, "InvalidInput")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, tmp_path, capsys, jobs):
+        rc, err = self.run_spec(tmp_path, capsys, {"r": 1, "s": 7}, "--jobs", jobs)
+        assert (rc, err["type"]) == (2, "InvalidInput")
+
+    def test_coefficient_list_spec_with_empty_mixing(self, tmp_path, capsys):
+        # the array form of the dual population, l = [] the zero polynomial
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"r": 3, "s": 3, "f1": [3, 1], "g1": [3, 1],
+                                    "l": [], "f2": [1], "g2": [1]}))
+        assert cli.main(["dual", str(path)]) == 0
 
 
 class TestSearchCli:

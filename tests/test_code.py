@@ -3,8 +3,8 @@ ideal canonicalization, residue codes."""
 
 import pytest
 
-from conftest import brute_span, naive_mul, random_code, random_poly
-from z4dc import code, linalg as la, z4poly as zp
+from conftest import brute_span, counter_words, naive_mul, random_code, random_poly
+from z4dc import code, f2poly as f2, linalg as la, z4poly as zp
 from z4dc.code import (
     CodeVector,
     code_size,
@@ -270,8 +270,8 @@ class TestEnumeration:
         be = code.BlockEnumerator(c, max_block=32)
         flat = []
         for h in range(be.nblocks):
-            flat.extend(tuple(int(x) for x in row) for row in be.block(h))
-        assert flat == [v.concat() for v in enumerate_codewords(c)]
+            flat.extend(map(tuple, code.unpack(be.block(h), c.r + c.s).tolist()))
+        assert flat == list(counter_words(c))
 
     def test_closure_under_shift(self, rng):
         for _ in range(60):
@@ -340,6 +340,14 @@ class TestCanonicalizeIdeal:
             rows.extend(code._ideal_rows(w, 3))
         F = zp.mod_cyclic(zp.add(f, zp.scale(2, g)), 3)
         assert la.span_equal(la.mat(rows, 3), la.mat(code._ideal_rows(F, 3), 3))
+
+    def test_factoring_is_cached_per_length(self):
+        # Berlekamp runs once per n, however many ideals are canonicalized
+        f2.factor_cyclic.cache_clear()
+        code.canonicalize_ideal([parse("x+3")], 15)
+        code.canonicalize_ideal([zp.scale(2, parse("x^4+x+1"))], 15)
+        info = f2.factor_cyclic.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_random_ideals(self, rng):
         for _ in range(100):

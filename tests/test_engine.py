@@ -1,0 +1,89 @@
+"""The packed codeword engine against the scalar counter oracle.
+
+Lengths are chosen where the 2-bit lanes cross uint64 word boundaries:
+r+s in {32, 64, 66} for codes (r and s are odd, so r+s is even), and
+31, 33, 65 for the lane primitives on random vectors.
+"""
+
+import random
+from collections import Counter
+from itertools import islice
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conftest import counter_words, shaped_code
+from z4dc import code, gray
+
+WIDTHS = (31, 32, 33, 64, 65, 66)
+SHAPES = ((1, 31), (7, 25), (17, 15), (1, 63), (33, 31), (3, 63), (33, 33))
+# block sizes that cut the radix-4 and radix-2 digits at uneven places
+MAX_BLOCKS = (1, 2, 3, 6, 24, 100, 1 << 16)
+
+
+def vectors(width):
+    return st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width),
+                    min_size=1, max_size=8)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(WIDTHS).flatmap(
+    lambda n: st.tuples(st.just(n), vectors(n), vectors(n))))
+def test_lane_primitives_match_symbolwise_arithmetic(case):
+    n, us, vs = case
+    m = min(len(us), len(vs))
+    u, v = np.array(us[:m]), np.array(vs[:m])
+    pu, pv = code.pack(us[:m], n), code.pack(vs[:m], n)
+    assert pu.shape == (m, -(-n // 32))
+    assert (code.unpack(pu, n) == u).all()
+    assert (code.unpack(code.lane_add(pu, pv), n) == (u + v) % 4).all()
+    weights = gray._lee_weights(pu, np.empty_like(pu))
+    assert weights.tolist() == [gray.lee_weight(w) for w in us[:m]]
+    pairs = code.unpack(gray.gray_lanes(pu), n)
+    assert [tuple(np.stack((p >> 1, p & 1), axis=1).ravel()) for p in pairs] \
+        == [gray.gray_map(w) for w in us[:m]]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(SHAPES),
+       st.sampled_from(MAX_BLOCKS))
+def test_decoded_blocks_follow_the_counter_order(rnd, shape, max_block):
+    c = shaped_code(rnd, *shape, max_bits=10)
+    be = code.BlockEnumerator(c, max_block=max_block)
+    decoded = []
+    for h in range(be.nblocks):
+        block = be.block(h)
+        assert block.shape == (be.block_size, -(-(c.r + c.s) // 32))
+        decoded.extend(map(tuple, code.unpack(block, c.r + c.s).tolist()))
+    assert decoded == list(counter_words(c))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(SHAPES))
+def test_gray_words_and_lee_histogram_match_the_oracle(rnd, shape):
+    c = shaped_code(rnd, *shape, max_bits=10)
+    words = list(counter_words(c))
+    assert list(gray.gray_words(c)) == \
+        ["".join(map(str, gray.gray_map(w))) for w in words]
+    assert gray.lee_enumerator(c).counts == Counter(map(gray.lee_weight, words))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(SHAPES))
+def test_sharded_histogram_equals_sequential(rnd, shape):
+    # at least 2^18 words, so the default 2^16-word blocks number >= 4
+    # and two jobs really split the range
+    c = shaped_code(rnd, *shape, max_bits=19, min_bits=18)
+    assert code.BlockEnumerator(c).nblocks >= 4
+    assert gray.lee_enumerator(c, jobs=2) == gray.lee_enumerator(c, jobs=1)
+
+
+def test_enumeration_windows_cross_block_boundaries():
+    # 2^17 words span several blocks of at most 2^16 words, and 65536
+    # is a block boundary whatever the block size
+    c = shaped_code(random.Random(3), 1, 31, max_bits=17, min_bits=17)
+    assert code.BlockEnumerator(c).nblocks >= 2
+    oracle = list(islice(counter_words(c), 70000))
+    for start, stop in ((0, 3), (65530, 65545), (65536, 65536), (65000, 70000)):
+        words = [v.concat() for v in code.enumerate_codewords(c, start=start, stop=stop)]
+        assert words == oracle[start:stop]
