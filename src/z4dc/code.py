@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -55,7 +56,6 @@ from .z4poly import (
     hensel_lift,
     is_monic,
     mod_cyclic,
-    monomial,
     mul,
     mul_mod_cyclic,
     reduce_mod2,
@@ -176,18 +176,28 @@ class DoubleCyclicCode:
         return self.f1 == self.g1 and self.f2 == self.g2
 
 
+def rotations(pair: tuple[Poly, Poly], r: int, s: int,
+              count: int) -> list[tuple[int, ...]]:
+    """The concatenated vectors of x^i * pair for i < count: tau_inv(pair)
+    and its next count-1 shift_T images."""
+    v = tau_inv(pair, r, s)
+    left, right = deque(v.left), deque(v.right)
+    out = []
+    for _ in range(count):
+        out.append((*left, *right))
+        left.rotate()
+        right.rotate()
+    return out
+
+
 def _ideal_rows(p: Poly, n: int) -> list[tuple[int, ...]]:
     """Coefficient rows of x^i * p mod x^n-1 for i < n (the module span
-    of the ideal generated by p in Z4[x]/(x^n-1))."""
+    of the ideal generated by p in Z4[x]/(x^n-1)): the rotations of the
+    pair (p, 0) with an empty right block."""
     pm = mod_cyclic(p, n)
     if pm == ZERO:
         return []
-    rows = []
-    cur = list(pm) + [0] * (n - len(pm))
-    for _ in range(n):
-        rows.append(tuple(cur))
-        cur = [cur[-1]] + cur[:-1]
-    return rows
+    return rotations((pm, ZERO), n, 0, n)
 
 
 @functools.lru_cache(maxsize=256)
@@ -335,24 +345,20 @@ def minimal_generating_set(c: DoubleCyclicCode) -> list[tuple[CodeVector, int]]:
     counts through, not its additive order: an S4 row can have odd
     entries and still has radix 2.
 
-    Sizes are r-t1, t1-t2, s-r1 and r1-r2; the sentinel encodings make
-    the ranges of absent families empty.
+    Each family is the rotations of one generator pair, r-t1, t1-t2,
+    s-r1 and r1-r2 of them; the sentinel encodings make the ranges of
+    absent families empty.
     """
     r, s = c.r, c.s
-    out = []
-    F1 = (mod_cyclic(c.F1, r), ZERO)
-    for i in range(r - c.t1):
-        out.append((tau_inv(xstar_mul(monomial(i), F1, r, s), r, s), 4))
-    S2 = (mod_cyclic(scale(2, mul(c.h1, c.g1)), r), ZERO)
-    for i in range(c.t1 - c.t2):
-        out.append((tau_inv(xstar_mul(monomial(i), S2, r, s), r, s), 2))
-    S3 = (c.l, mod_cyclic(c.F2, s))
-    for i in range(s - c.r1):
-        out.append((tau_inv(xstar_mul(monomial(i), S3, r, s), r, s), 4))
-    S4 = (mod_cyclic(mul(c.h2, c.l), r), mod_cyclic(scale(2, mul(c.h2, c.g2)), s))
-    for i in range(c.r1 - c.r2):
-        out.append((tau_inv(xstar_mul(monomial(i), S4, r, s), r, s), 2))
-    return out
+    families = (
+        ((c.F1_mod, ZERO), r - c.t1, 4),
+        ((mod_cyclic(scale(2, mul(c.h1, c.g1)), r), ZERO), c.t1 - c.t2, 2),
+        ((c.l, c.F2_mod), s - c.r1, 4),
+        ((mod_cyclic(mul(c.h2, c.l), r), mod_cyclic(scale(2, mul(c.h2, c.g2)), s)),
+         c.r1 - c.r2, 2),
+    )
+    return [(CodeVector(row[:r], row[r:]), radix) for pair, count, radix in families
+            for row in rotations(pair, r, s, count)]
 
 
 def generator_matrix(c: DoubleCyclicCode) -> linalg.MatZ4:
@@ -531,18 +537,9 @@ class ResidueCode:
     F2bar: f2poly.Poly
 
     def generator_rows(self) -> list[tuple[int, ...]]:
-        rows = []
-        left = list(self.F1bar) + [0] * (self.r - len(self.F1bar))
-        for _ in range(self.r):
-            rows.append(tuple(left) + (0,) * self.s)
-            left = [left[-1]] + left[:-1]
-        lpart = list(self.lbar) + [0] * (self.r - len(self.lbar))
-        rpart = list(self.F2bar) + [0] * (self.s - len(self.F2bar))
-        for _ in range(self.s):
-            rows.append(tuple(lpart) + tuple(rpart))
-            lpart = [lpart[-1]] + lpart[:-1]
-            rpart = [rpart[-1]] + rpart[:-1]
-        return [row for row in rows if any(row)]
+        families = (((self.F1bar, ZERO), self.r), ((self.lbar, self.F2bar), self.s))
+        return [row for pair, count in families
+                for row in rotations(pair, self.r, self.s, count) if any(row)]
 
     def _rref(self) -> tuple[list[int], list[int]]:
         return f2poly.rref(f2poly.to_bits(row) for row in self.generator_rows())

@@ -5,9 +5,20 @@ because of the zero divisor 2; the Howell form does.  Here a matrix is
 in Howell form when (a) rows are nonzero with strictly increasing pivot
 columns, (b) each pivot entry is 1 or 2, (c) entries above a pivot are
 reduced modulo the pivot (so 0 above a 1, {0,1} above a 2), and (d) the
-span is closed in the Howell sense: 2*row reduces to zero against the
-later rows.  Two matrices have equal row span iff their Howell forms
-are identical, which makes span comparison a structural equality test.
+span is closed in the Howell sense: 2*row of each 2-pivot row reduces
+to zero against the later rows.  Two matrices have equal row span iff
+their Howell forms are identical, which makes span comparison a
+structural equality test.
+
+howell is the one Z4 row reduction: a single left-to-right column
+sweep (Howell, Spans in the module (Z_m)^s, 1986; Storjohann,
+Algorithms for Matrix Canonical Forms, 2000).  (a)-(c) hold because each column is cleared
+below and reduced above its pivot once, and later pivot rows vanish in
+earlier columns.  (d) holds because every 2-pivot row p queues its
+annihilator row 2*p, which vanishes through p's pivot column, and the
+sweep reduces it against the later rows like any other pending row.
+membership, coset_representative, kernel and span_equal all read its
+output.
 
 All values are immutable; every function is pure.
 """
@@ -16,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InternalCheckFailed
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -51,54 +62,7 @@ class HowellForm:
     pivots: tuple[tuple[int, int], ...]
 
 
-def _echelon(rows: list[list[int]], ncols: int):
-    """Normalized echelon pass: unit pivots preferred, full reduction
-    above and below, above-pivot entries reduced mod the pivot value."""
-    pending = [r for r in rows if any(r)]
-    out: list[list[int]] = []
-    pivots: list[tuple[int, int]] = []
-    for j in range(ncols):
-        if not pending:
-            break
-        unit_i = next((i for i, r in enumerate(pending) if r[j] % 2 == 1), None)
-        if unit_i is not None:
-            p = pending.pop(unit_i)
-            if p[j] == 3:
-                p = [(3 * c) % 4 for c in p]
-            for r in pending:
-                c = r[j]
-                if c:
-                    for k in range(j, ncols):
-                        r[k] = (r[k] - c * p[k]) % 4
-            for q in out:
-                c = q[j]
-                if c:
-                    for k in range(j, ncols):
-                        q[k] = (q[k] - c * p[k]) % 4
-            out.append(p)
-            pivots.append((j, 1))
-        else:
-            two_i = next((i for i, r in enumerate(pending) if r[j] == 2), None)
-            if two_i is None:
-                continue
-            p = pending.pop(two_i)
-            for r in pending:
-                if r[j]:
-                    for k in range(j, ncols):
-                        r[k] = (r[k] - p[k]) % 4
-            for q in out:
-                c = q[j] // 2
-                if c:
-                    for k in range(j, ncols):
-                        q[k] = (q[k] - c * p[k]) % 4
-            out.append(p)
-            pivots.append((j, 2))
-        pending = [r for r in pending if any(r)]
-    return out, pivots
-
-
-def _reduce(v: list[int], rows: list[list[int]],
-            pivots: list[tuple[int, int]]) -> list[int]:
+def _reduce(v: list[int], rows, pivots) -> list[int]:
     """Reduce v against pivot rows; the residue is the canonical coset
     representative (zero iff v lies in the span, given Howell form)."""
     for (j, val), row in zip(pivots, rows):
@@ -117,24 +81,42 @@ def _reduce(v: list[int], rows: list[list[int]],
 
 
 def howell(m: MatZ4) -> HowellForm:
-    """Howell canonical form of the row span of m.
+    """Howell canonical form of the row span of m, in one column sweep.
 
-    Echelon passes alternate with span closure (appending 2*row whenever
-    it fails to reduce to zero) until a fixpoint; the result is verified
-    closed before returning.
+    At column j the pivot is a pending row with a unit entry there
+    (scaled by 3 if the entry is 3), else one with entry 2.  The same
+    elimination x -= (x[j] // pivot) * p then clears column j from the
+    pending rows and reduces the output rows above it modulo the pivot.
+    A 2-pivot row p queues its annihilator row 2*p, which vanishes
+    through column j, so the output is Howell-closed when the sweep ends.
     """
-    cur, pivots = _echelon([list(r) for r in m.rows], m.ncols)
-    for _ in range(2 * m.ncols + 4):
-        extras = []
-        for r in cur:
-            t = [(2 * c) % 4 for c in r]
-            if any(_reduce(t, cur, pivots)):
-                extras.append(t)
-        if not extras:
-            return HowellForm(
-                MatZ4(tuple(tuple(r) for r in cur), m.ncols), tuple(pivots))
-        cur, pivots = _echelon(cur + extras, m.ncols)
-    raise InternalCheckFailed("Howell closure did not stabilize")
+    n = m.ncols
+    pending = [list(r) for r in m.rows if any(r)]
+    out: list[list[int]] = []
+    pivots: list[tuple[int, int]] = []
+    for j in range(n):
+        if not pending:
+            break
+        i = next((i for i, r in enumerate(pending) if r[j] % 2), None)
+        if i is None:
+            i = next((i for i, r in enumerate(pending) if r[j]), None)
+            if i is None:
+                continue
+        p = pending.pop(i)
+        if p[j] == 3:
+            p = [(3 * c) % 4 for c in p]
+        piv = p[j]
+        for x in pending + out:
+            c = x[j] // piv
+            if c:
+                for k in range(j, n):
+                    x[k] = (x[k] - c * p[k]) % 4
+        out.append(p)
+        pivots.append((j, piv))
+        if piv == 2:
+            pending.append([(2 * c) % 4 for c in p])
+        pending = [r for r in pending if any(r)]
+    return HowellForm(MatZ4(tuple(map(tuple, out)), n), tuple(pivots))
 
 
 def span_size(h: HowellForm) -> int:
@@ -155,8 +137,7 @@ def coset_representative(h: HowellForm, v) -> tuple[int, ...]:
     if len(v) != h.matrix.ncols:
         raise DimensionMismatch(
             f"vector length {len(v)} != ncols {h.matrix.ncols}")
-    rows = [list(r) for r in h.matrix.rows]
-    return tuple(_reduce([c % 4 for c in v], rows, list(h.pivots)))
+    return tuple(_reduce([c % 4 for c in v], h.matrix.rows, h.pivots))
 
 
 def kernel(m: MatZ4) -> MatZ4:

@@ -15,7 +15,6 @@ from itertools import product
 
 from . import f2poly
 from .code import (
-    DoubleCyclicCode,
     code_size,
     from_spec_dict,
     spec_dict,
@@ -23,7 +22,7 @@ from .code import (
 )
 from .errors import LatticeTooLarge, Z4DCError
 from .gray import lee_enumerator
-from .z4poly import Poly, ZERO, canon, degree, hensel_lift, mul, xn_minus_1
+from .z4poly import Poly, ZERO, canon, degree, divides, hensel_lift, mul, xn_minus_1
 
 DEFAULT_SEARCH_ENUM_CAP = 1 << 20
 DEFAULT_LATTICE_BOUND = 4096
@@ -78,8 +77,6 @@ class SearchReport:
 def _divisor_pairs(lattice: list[Poly]):
     """(small, big) pairs with small | big; divisibility in the lattice
     is decided by residue factor subsets, here by direct division."""
-    from .z4poly import divides
-
     pairs = []
     for big in lattice:
         for small in lattice:
@@ -127,15 +124,6 @@ def iter_candidates(r: int, s: int, forms=("i", "ii", "iii"),
                            "f2": f2, "g2": g2}
 
 
-def _try_validate(cand: dict) -> DoubleCyclicCode | None:
-    try:
-        return validate(cand["r"], cand["s"], f1=cand.get("f1"),
-                        g1=cand.get("g1"), l=cand.get("l"),
-                        f2=cand.get("f2"), g2=cand.get("g2"))
-    except Z4DCError:
-        return None
-
-
 def search(r: int, s: int, forms=("i", "ii", "iii"),
            max_l_degree: int | None = None, distance_floor: int = 0,
            enum_cap: int = DEFAULT_SEARCH_ENUM_CAP,
@@ -154,8 +142,9 @@ def search(r: int, s: int, forms=("i", "ii", "iii"),
     scored: list[tuple[int, int, str, dict]] = []
     for cand in iter_candidates(r, s, forms=forms, max_l_degree=max_l_degree,
                                 lattice_bound=lattice_bound):
-        c = _try_validate(cand)
-        if c is None:
+        try:
+            c = validate(**cand)
+        except Z4DCError:
             continue
         size = code_size(c)
         if size <= 1:

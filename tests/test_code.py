@@ -193,6 +193,28 @@ class TestMinimalGeneratingSet:
                     if any(doubled):
                         assert h is not None and la.membership(h, doubled)
 
+    def test_rows_equal_the_polynomial_products(self, rng):
+        # oracle: row i of a family is tau_inv(x^i * pair), one
+        # polynomial product per row, as the rows were first built
+        torsion = 0
+        for _ in range(80):
+            c = random_code(rng, r_choices=(1, 3, 7, 9), s_choices=(1, 3, 7, 9))
+            r, s = c.r, c.s
+            families = (
+                ((zp.mod_cyclic(c.F1, r), ()), r - c.t1, 4),
+                ((zp.mod_cyclic(zp.scale(2, zp.mul(c.h1, c.g1)), r), ()),
+                 c.t1 - c.t2, 2),
+                ((c.l, zp.mod_cyclic(c.F2, s)), s - c.r1, 4),
+                ((zp.mod_cyclic(zp.mul(c.h2, c.l), r),
+                  zp.mod_cyclic(zp.scale(2, zp.mul(c.h2, c.g2)), s)),
+                 c.r1 - c.r2, 2),
+            )
+            expected = [(tau_inv(xstar_mul(zp.monomial(i), pair, r, s), r, s), radix)
+                        for pair, count, radix in families for i in range(count)]
+            assert minimal_generating_set(c) == expected
+            torsion += c.t1 > c.t2 or c.r1 > c.r2
+        assert torsion >= 20
+
 
 class TestCodeSize:
     def test_reference_sizes(self):

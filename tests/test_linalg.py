@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_span
 from z4dc import linalg as la
@@ -58,6 +59,40 @@ class TestHowell:
             assert la.span_size(h) == len(sp)
             for row in rows:
                 assert la.membership(h, row)
+
+
+@st.composite
+def z4_matrices(draw):
+    """Up to 6 rows of width 1..5, so tall matrices are common.  A third
+    are all-even (every pivot is 2 and every annihilator row 2*p
+    vanishes); the rest range over Z4, where a 2-pivot row with a later
+    odd entry queues a nonzero 2*p."""
+    ncols = draw(st.integers(1, 5))
+    entries = st.sampled_from((0, 2)) if draw(st.integers(0, 2)) == 0 \
+        else st.integers(0, 3)
+    row = st.tuples(*[entries] * ncols)
+    return draw(st.lists(row, max_size=6)), ncols
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(z4_matrices())
+def test_howell_meets_its_definition_and_spans_the_rows(case):
+    rows, n = case
+    h = la.howell(la.mat(rows, n))
+    out = h.matrix.rows
+    # (a) nonzero rows, pivot = first nonzero entry, strictly increasing
+    leads = [next(j for j, x in enumerate(row) if x) for row in out]
+    assert leads == sorted(set(leads))
+    assert h.pivots == tuple((j, row[j]) for j, row in zip(leads, out))
+    for k, (j, val) in enumerate(h.pivots):
+        assert val in (1, 2)  # (b)
+        assert all(above[j] < val for above in out[:k])  # (c)
+        if val == 2:  # (d) 2*row lies in the span of the later rows
+            doubled = tuple((2 * x) % 4 for x in out[k])
+            assert doubled in brute_span(out[k + 1:], n)
+    span = brute_span(rows, n)
+    assert brute_span(out, n) == span
+    assert la.span_size(h) == len(span)
 
 
 class TestMembership:
