@@ -13,6 +13,12 @@ The f/g parts are stored monic; the combined F may carry a unit factor
 3 (for example F = 3*f when f = g), which never matters because ideals
 are compared by span, not by coefficients.
 
+Cyclic ideals are handled by their residue factors, with no span
+computed: for odd n the ideal (f + 2g) of Z4[x]/(x^n-1) with
+g | f | x^n-1 holds w iff g divides w and f divides w mod 2
+(in_ideal), and canonicalize_ideal reads (f, g) off the residue
+factors of x^n-1 that divide the spanning polynomials.
+
 Codes are immutable after validation; enumeration is a deterministic
 mixed-radix counter (S1 digits most significant, then S2, S3, S4, each
 coefficient block ascending) whose index space partitions into
@@ -190,35 +196,18 @@ def rotations(pair: tuple[Poly, Poly], r: int, s: int,
     return out
 
 
-def _ideal_rows(p: Poly, n: int) -> list[tuple[int, ...]]:
-    """Coefficient rows of x^i * p mod x^n-1 for i < n (the module span
-    of the ideal generated by p in Z4[x]/(x^n-1)): the rotations of the
-    pair (p, 0) with an empty right block."""
-    pm = mod_cyclic(p, n)
-    if pm == ZERO:
-        return []
-    return rotations((pm, ZERO), n, 0, n)
-
-
-@functools.lru_cache(maxsize=256)
-def _ideal_howell(p: Poly, n: int) -> linalg.HowellForm:
-    rows = _ideal_rows(p, n)
-    return linalg.howell(linalg.MatZ4(tuple(rows), n))
-
-
 def poly_to_vec(p: Poly, n: int) -> tuple[int, ...]:
     p = mod_cyclic(p, n)
     return p + (0,) * (n - len(p))
 
 
-def ideal_contains(gen: Poly, n: int, w: Poly) -> bool:
-    """Membership of w in the ideal (gen) of Z4[x]/(x^n-1)."""
-    wm = mod_cyclic(w, n)
-    if wm == ZERO:
-        return True
-    if mod_cyclic(gen, n) == ZERO:
-        return False
-    return linalg.membership(_ideal_howell(mod_cyclic(gen, n), n), poly_to_vec(wm, n))
+def in_ideal(f: Poly, g: Poly, w: Poly) -> bool:
+    """Membership of w in the ideal (f + 2g) = (f, 2g) of Z4[x]/(x^n-1),
+    for monic g | f | x^n-1: g divides w over Z4 and the residue of f
+    divides the residue of w over F2.  w need not be reduced mod x^n-1,
+    because f and g divide it."""
+    return (not divmod_monic(w, g)[1]
+            and not f2poly.polymod(reduce_mod2(w), reduce_mod2(f)))
 
 
 def _check_chain(gsmall: Poly, gbig: Poly, modulus: Poly, names: str):
@@ -238,7 +227,9 @@ def validate(r: int, s: int, f1: Poly | None = None, g1: Poly | None = None,
     polynomial is degree-normalized against F1 before the constraints
     are checked; an incompatible mixing polynomial is an error rather
     than a silent recanonicalization (canonicalize_ideal is the
-    recovery path for non-canonical generating sets).
+    recovery path for non-canonical generating sets).  Both mixing
+    conditions are divisibility tests (in_ideal), and the Howell size
+    check at the end certifies the validated generators.
     """
     for name, n in (("r", r), ("s", s)):
         if not isinstance(n, int) or n < 1 or n % 2 == 0:
@@ -277,7 +268,7 @@ def validate(r: int, s: int, f1: Poly | None = None, g1: Poly | None = None,
     # in the ideal generated by F1 (for an absent left generator this
     # ideal is zero, forcing (x^r-1) | ((x^s-1)/g2) * l)
     w = mod_cyclic(mul(exact_div(xn_minus_1(s), g2), l), r)
-    if not ideal_contains(F1, r, w):
+    if not in_ideal(f1, g1, w):
         raise MixingConstraintViolation(
             f"((x^s-1)/g2)*l = {polytext.render(w)} mod x^{r}-1 is outside "
             f"the ideal generated by f1+2g1", witness=w)
@@ -287,7 +278,7 @@ def validate(r: int, s: int, f1: Poly | None = None, g1: Poly | None = None,
     # generating-set size count relies on; it is implied by the first
     # condition when f2 = g2 but independent otherwise.
     w2 = mod_cyclic(scale(2, mul(exact_div(xn_minus_1(s), f2), l)), r)
-    if not ideal_contains(F1, r, w2):
+    if not in_ideal(f1, g1, w2):
         raise MixingConstraintViolation(
             f"2*((x^s-1)/f2)*l = {polytext.render(w2)} mod x^{r}-1 is "
             f"outside the ideal generated by f1+2g1", witness=w2)
@@ -491,35 +482,26 @@ class BlockEnumerator:
 def canonicalize_ideal(spanning, n: int) -> tuple[Poly, Poly]:
     """Canonical (f, g) with g | f | x^n-1 generating the same ideal.
 
-    The ideal of Z4[x]/(x^n-1) spanned by the given polynomials is
-    probed per irreducible residue factor p of x^n-1: the lifted
-    cofactor (x^n-1)/p acts as a unit in the p-component and zero
-    elsewhere, so two Howell membership tests classify the component as
-    full, 2-torsion or zero.  f collects the non-full components, g the
-    zero ones; both are Hensel lifts so the chain g | f | x^n-1 holds.
-    The zero ideal comes out as the sentinel f = g = x^n-1 and the full
-    ring as f = g = 1.
+    For odd n every ideal of Z4[x]/(x^n-1) is (f + 2g) = (f, 2g) with
+    g | f | x^n-1 (Pless and Qian, IEEE-IT 42(5), 1996; Calderbank and
+    Sloane, DCC 6, 1995), so it is fixed by what it is at each
+    irreducible residue factor p of x^n-1: full, 2-torsion or zero.
+    The p-component of the ideal spanned by the given polynomials is
+    not full iff p divides every residue w mod 2, so f is the Hensel
+    lift of gcd(x^n+1, w1 mod 2, ...); it is zero iff the lift of p
+    divides every w over Z4, and g is the Hensel lift of the product of
+    those p.  The zero ideal comes out as the sentinel f = g = x^n-1
+    and the full ring as f = g = 1.  No span is computed: callers
+    certify the result against the span they hold.
     """
-    rows = []
-    for w in spanning:
-        rows.extend(_ideal_rows(canon(w), n))
-    h = linalg.howell(linalg.MatZ4(tuple(rows), n))
-    fbar: f2poly.Poly = f2poly.ONE
-    gbar: f2poly.Poly = f2poly.ONE
-    for p in sorted(f2poly.factor_cyclic(n)):
-        cof = hensel_lift(f2poly.polydivmod(f2poly.xn_plus_1(n), p)[0], n)
-        vec = poly_to_vec(cof, n)
-        if linalg.membership(h, vec):
-            continue
-        fbar = f2poly.mul(fbar, p)
-        if not linalg.membership(h, tuple((2 * x) % 4 for x in vec)):
+    spanning = [canon(w) for w in spanning]
+    fbar = f2poly.cyclic_gcd((reduce_mod2(w) for w in spanning), n)
+    gbar = f2poly.ONE
+    for p in f2poly.factor_cyclic(n):
+        lift = hensel_lift(p, n)
+        if not any(divmod_monic(w, lift)[1] for w in spanning):
             gbar = f2poly.mul(gbar, p)
-    f = hensel_lift(fbar, n)
-    g = hensel_lift(gbar, n)
-    rebuilt = _ideal_rows(mod_cyclic(add(f, scale(2, g)), n), n)
-    if linalg.howell(linalg.MatZ4(tuple(rebuilt), n)).matrix.rows != h.matrix.rows:
-        raise InternalCheckFailed("canonicalized ideal does not reproduce the span")
-    return f, g
+    return hensel_lift(fbar, n), hensel_lift(gbar, n)
 
 
 @dataclass(frozen=True)

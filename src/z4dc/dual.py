@@ -26,7 +26,6 @@ from .code import (
     poly_to_vec,
     shift_T,
     validate,
-    _ideal_howell,
 )
 from .errors import (
     DimensionCapExceeded,
@@ -181,11 +180,11 @@ def dual_brute_force(c: DoubleCyclicCode,
     resid = linalg.coset_representative(hperm, tuple(F2h_vec) + (0,) * r)
     if any(resid[:s]):
         raise InternalCheckFailed("dual right projection lost its generator")
-    l_vec = [(-x) % 4 for x in resid[s:]]
-    # canonical coset representative modulo the dual left ideal
-    F1h_mod = mod_cyclic(add(f1h, scale(2, g1h)), r)
-    if F1h_mod != ZERO:
-        l_vec = list(linalg.coset_representative(_ideal_howell(F1h_mod, r), l_vec))
+    # l_hat is minus the left residue, taken as the canonical coset
+    # representative modulo the dual left ideal, whose Howell form is
+    # the rows of hperm with a zero right block
+    l_vec = linalg.coset_representative(
+        hperm, (0,) * s + tuple(-x for x in resid[s:]))[s:]
     dual_code = validate(r, s, f1h, g1h, canon(l_vec), f2h, g2h)
     if not linalg.span_equal(generator_matrix(dual_code), K):
         raise InternalCheckFailed("extracted dual generators do not span the kernel")
@@ -318,14 +317,6 @@ def dual_report(c: DoubleCyclicCode, method: str = "auto",
 # -- residue-level verification ------------------------------------------
 
 
-def _gcd_of_parts(parts: list[f2poly.Poly], n: int) -> f2poly.Poly:
-    acc = f2poly.xn_plus_1(n)
-    for p in parts:
-        if p:
-            acc = f2poly.gcd(acc, p)
-    return acc
-
-
 @dataclass(frozen=True)
 class ResidueDualCheck:
     """Extracted residue dual generators and the verified relations.
@@ -375,14 +366,14 @@ def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
     checks: dict[str, bool] = {}
 
     # right projection ideal over F2
-    F2bar_hat = _gcd_of_parts(
+    F2bar_hat = f2poly.cyclic_gcd(
         [f2poly.canon(row[r:]) for row in dual_span.rows], s)
     # rows with vanishing right block generate the (c|0) residue subcode;
     # bitmask rows carry the right block in bits [0, s), the left above
     right = (1 << s) - 1
     basis, pivots = f2poly.rref(
         f2poly.to_bits(row[r:] + row[:r]) for row in dual_span.rows)
-    F1bar_hat = _gcd_of_parts(
+    F1bar_hat = f2poly.cyclic_gcd(
         [f2poly.from_bits(b >> s) for b in basis if not b & right], r)
     # left completion of the right generator (the zero-projection case
     # reduces the sentinel generator x^s+1 to the zero vector)
@@ -480,9 +471,17 @@ class ProjectionReport:
 
 
 def _projection(c: DoubleCyclicCode, cols, spanning, n: int) -> ProjectionReport:
+    """The canonical generators of the projection onto cols, certified
+    against its Howell form: the span is cyclic, so it holds the ideal
+    (f + 2g) iff it holds f + 2g, and it equals the ideal iff it also
+    has its size 4^(n - deg f) * 2^(deg f - deg g)."""
     f, g = canonicalize_ideal(spanning, n)
     h = linalg.howell(linalg.column_slice(generator_matrix(c), cols))
-    return ProjectionReport(f, g, linalg.span_size(h))
+    size = linalg.span_size(h)
+    if (not linalg.membership(h, poly_to_vec(add(f, scale(2, g)), n))
+            or size != 4 ** (n - degree(f)) * 2 ** (degree(f) - degree(g))):
+        raise InternalCheckFailed("canonical generators do not span the projection")
+    return ProjectionReport(f, g, size)
 
 
 def epsilon(c: DoubleCyclicCode) -> int:

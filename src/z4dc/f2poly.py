@@ -81,6 +81,12 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return a  # nonzero over F2 is automatically monic
 
 
+def cyclic_gcd(parts, n: int) -> Poly:
+    """gcd(x^n+1, *parts): the generator polynomial of the binary cyclic
+    code of length n that the parts span (x^n+1 when they are all zero)."""
+    return functools.reduce(gcd, parts, xn_plus_1(n))
+
+
 def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
     if not a and not b:

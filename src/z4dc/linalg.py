@@ -63,20 +63,15 @@ class HowellForm:
 
 
 def _reduce(v: list[int], rows, pivots) -> list[int]:
-    """Reduce v against pivot rows; the residue is the canonical coset
-    representative (zero iff v lies in the span, given Howell form)."""
+    """Reduce v against the Howell rows by howell's elimination
+    v -= (v[j] // pivot) * row, which clears a unit-pivot column and
+    leaves v[j] in {0, 1} at a 2-pivot column; the residue is the
+    canonical coset representative (zero iff v lies in the span)."""
     for (j, val), row in zip(pivots, rows):
-        c = v[j]
-        if not c:
-            continue
-        if val == 1:
-            mult = c
-        else:
-            if c % 2:
-                continue  # odd entry cannot be cleared by a 2-pivot
-            mult = c // 2
-        for k in range(j, len(v)):
-            v[k] = (v[k] - mult * row[k]) % 4
+        c = v[j] // val
+        if c:
+            for k in range(j, len(v)):
+                v[k] = (v[k] - c * row[k]) % 4
     return v
 
 

@@ -12,10 +12,16 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import settings
 
 from z4dc import f2poly, z4poly
 from z4dc.code import validate
 from z4dc.errors import Z4DCError
+
+# Every property test replays the same examples on every run; each keeps
+# its own max_examples.
+settings.register_profile("z4dc", derandomize=True, deadline=None)
+settings.load_profile("z4dc")
 
 
 @pytest.fixture
@@ -70,6 +76,15 @@ def brute_span(rows, ncols):
                   for k in range(ncols))
         out.add(v)
     return out
+
+
+def ideal_rows(p, n):
+    """The n cyclic shifts of p's coefficient vector mod x^n-1: rows
+    whose span is the ideal (p) of Z4[x]/(x^n-1)."""
+    v = [0] * n
+    for i, c in enumerate(p):
+        v[i % n] = (v[i % n] + c) % 4
+    return [tuple(v[(k - i) % n] for k in range(n)) for i in range(n)]
 
 
 # -- exhaustive Gray-image oracle -----------------------------------------

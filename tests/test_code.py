@@ -2,8 +2,10 @@
 ideal canonicalization, residue codes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import brute_span, counter_words, naive_mul, random_code, random_poly
+from conftest import (brute_span, counter_words, ideal_rows, naive_mul,
+                      random_code, random_poly)
 from z4dc import code, f2poly as f2, linalg as la, z4poly as zp
 from z4dc.code import (
     CodeVector,
@@ -344,6 +346,17 @@ class TestContains:
             found += 1
 
 
+def assert_canonical_pair_spans(spanning, n):
+    """canonicalize_ideal against the Howell span of every rotation: a
+    monic chain g | f | x^n-1 whose f + 2g spans the same ideal."""
+    f, g = code.canonicalize_ideal(spanning, n)
+    assert zp.is_monic(f) and zp.is_monic(g)
+    assert zp.divides(g, f) and zp.divides(f, zp.xn_minus_1(n))
+    rows = [row for w in spanning for row in ideal_rows(w, n)]
+    F = zp.add(f, zp.scale(2, g))
+    assert la.span_equal(la.mat(rows, n), la.mat(ideal_rows(F, n), n))
+
+
 class TestCanonicalizeIdeal:
     def test_zero_ideal_sentinel(self):
         assert code.canonicalize_ideal([()], 3) == (zp.xn_minus_1(3),
@@ -355,13 +368,7 @@ class TestCanonicalizeIdeal:
     def test_mixed_ideal_span_equal(self):
         spanning = [zp.scale(2, parse("x+3")),
                     naive_mul(parse("x+3"), parse("x^2+x+1"))]
-        f, g = code.canonicalize_ideal(spanning, 3)
-        assert zp.divides(g, f) and zp.divides(f, zp.xn_minus_1(3))
-        rows = []
-        for w in spanning:
-            rows.extend(code._ideal_rows(w, 3))
-        F = zp.mod_cyclic(zp.add(f, zp.scale(2, g)), 3)
-        assert la.span_equal(la.mat(rows, 3), la.mat(code._ideal_rows(F, 3), 3))
+        assert_canonical_pair_spans(spanning, 3)
 
     def test_factoring_is_cached_per_length(self):
         # Berlekamp runs once per n, however many ideals are canonicalized
@@ -376,10 +383,68 @@ class TestCanonicalizeIdeal:
             n = rng.choice([1, 3, 5, 7, 9])
             spanning = [random_poly(rng, n - 1)
                         for _ in range(rng.randrange(1, 3))]
-            f, g = code.canonicalize_ideal(spanning, n)
-            assert zp.is_monic(f) and zp.is_monic(g)
-            assert zp.divides(g, f) and zp.divides(f, zp.xn_minus_1(n))
-            # the built-in post-check already compares spans exactly
+            assert_canonical_pair_spans(spanning, n)
+
+
+IDEAL_LENGTHS = (1, 3, 5, 7, 9, 15, 21)
+
+
+def z4_polys(n):
+    return st.lists(st.integers(0, 3), max_size=n).map(zp.canon)
+
+
+@st.composite
+def cyclic_ideals(draw, n):
+    """(f, g) with g | f | x^n-1: each residue factor of x^n-1 is drawn
+    as a full, 2-torsion or zero component of the ideal (f + 2g)."""
+    fbar = gbar = f2.ONE
+    for p in sorted(f2.factor_cyclic(n)):
+        kind = draw(st.integers(0, 2))
+        if kind:
+            fbar = f2.mul(fbar, p)
+        if kind == 2:
+            gbar = f2.mul(gbar, p)
+    return zp.hensel_lift(fbar, n), zp.hensel_lift(gbar, n)
+
+
+@st.composite
+def ideal_members(draw):
+    """n, an ideal (f, g) and w = a*f + c*b*g (+ e), c in {1, 2}: with
+    c = 1 or a random e, w is in the ideal only sometimes."""
+    n = draw(st.sampled_from(IDEAL_LENGTHS))
+    f, g = draw(cyclic_ideals(n))
+    a, b = draw(z4_polys(n)), draw(z4_polys(n))
+    w = zp.add(zp.mul(a, f), zp.scale(draw(st.sampled_from((1, 2))), zp.mul(b, g)))
+    if draw(st.booleans()):
+        w = zp.add(w, draw(z4_polys(n)))
+    return n, f, g, w
+
+
+@settings(max_examples=150)
+@given(ideal_members())
+def test_in_ideal_matches_howell_membership(case):
+    n, f, g, w = case
+    h = la.howell(la.mat(ideal_rows(zp.add(f, zp.scale(2, g)), n), n))
+    assert code.in_ideal(f, g, w) == la.membership(h, code.poly_to_vec(w, n))
+
+
+@st.composite
+def spanning_sets(draw):
+    """n and 1-3 polynomials a*(f + 2g), each over its own ideal, so the
+    spanned ideal has full, 2-torsion and zero components."""
+    n = draw(st.sampled_from(IDEAL_LENGTHS))
+    spanning = []
+    for _ in range(draw(st.integers(1, 3))):
+        f, g = draw(cyclic_ideals(n))
+        spanning.append(zp.mul(draw(z4_polys(n)), zp.add(f, zp.scale(2, g))))
+    return n, spanning
+
+
+@settings(max_examples=100)
+@given(spanning_sets())
+def test_canonicalize_ideal_matches_howell_span(case):
+    n, spanning = case
+    assert_canonical_pair_spans(spanning, n)
 
 
 class TestResidueCode:

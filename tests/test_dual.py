@@ -19,7 +19,12 @@ from z4dc.code import (
     tau_inv,
     validate,
 )
-from z4dc.errors import DimensionCapExceeded, NotFree, NotInvertible
+from z4dc.errors import (
+    DimensionCapExceeded,
+    InternalCheckFailed,
+    NotFree,
+    NotInvertible,
+)
 from z4dc.polytext import parse
 
 
@@ -323,6 +328,21 @@ class TestProjections:
                      f2=parse("x^6+x^3+1"), g2=parse("x^6+x^3+1"))
         assert dual.epsilon(c) == 0
         assert dual.project_r(c).size == 4 ** (3 - 2)
+
+    @pytest.mark.parametrize("wrong", [
+        "x^3+x^2+1",  # the other cubic: the right size, not a member
+        "x^7+3",      # the zero ideal: a member, the wrong size
+    ])
+    def test_wrong_canonical_pair_is_caught(self, monkeypatch, wrong):
+        def lift(text):
+            return zp.hensel_lift(zp.reduce_mod2(parse(text)), 7)
+
+        c = validate(7, 1, f1=lift("x^3+x+1"), g1=lift("x^3+x+1"))
+        assert dual.project_r(c).size == 4 ** 4
+        f = lift(wrong)
+        monkeypatch.setattr(dual, "canonicalize_ideal", lambda spanning, n: (f, f))
+        with pytest.raises(InternalCheckFailed):
+            dual.project_r(c)
 
     def test_size_and_degree_identities_free_population(self, rng):
         checked = 0

@@ -26,7 +26,7 @@ def vectors(width):
                     min_size=1, max_size=8)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(WIDTHS).flatmap(
     lambda n: st.tuples(st.just(n), vectors(n), vectors(n))))
 def test_lane_primitives_match_symbolwise_arithmetic(case):
@@ -44,7 +44,7 @@ def test_lane_primitives_match_symbolwise_arithmetic(case):
         == [gray.gray_map(w) for w in us[:m]]
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.randoms(use_true_random=False), st.sampled_from(SHAPES),
        st.sampled_from(MAX_BLOCKS))
 def test_decoded_blocks_follow_the_counter_order(rnd, shape, max_block):
@@ -58,7 +58,7 @@ def test_decoded_blocks_follow_the_counter_order(rnd, shape, max_block):
     assert decoded == list(counter_words(c))
 
 
-@settings(derandomize=True, max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.randoms(use_true_random=False), st.sampled_from(SHAPES))
 def test_gray_words_and_lee_histogram_match_the_oracle(rnd, shape):
     c = shaped_code(rnd, *shape, max_bits=10)
@@ -68,7 +68,7 @@ def test_gray_words_and_lee_histogram_match_the_oracle(rnd, shape):
     assert gray.lee_enumerator(c).counts == Counter(map(gray.lee_weight, words))
 
 
-@settings(derandomize=True, max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(st.randoms(use_true_random=False), st.sampled_from(SHAPES))
 def test_sharded_histogram_equals_sequential(rnd, shape):
     # at least 2^18 words, so the default 2^16-word blocks number >= 4

@@ -187,7 +187,7 @@ class TestGrayImageParams:
 
     # st.randoms(use_true_random=False) draws every choice random_code
     # makes from hypothesis, so a failure shrinks to a small code
-    @settings(derandomize=True, max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.randoms(use_true_random=False))
     def test_criterion_matches_exhaustive_closure(self, rnd):
         self.assert_matches_closure(random_code(rnd, max_size=2 ** 12))

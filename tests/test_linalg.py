@@ -74,9 +74,9 @@ def z4_matrices(draw):
     return draw(st.lists(row, max_size=6)), ncols
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(z4_matrices())
-def test_howell_meets_its_definition_and_spans_the_rows(case):
+@settings(max_examples=150)
+@given(z4_matrices(), st.data())
+def test_howell_meets_its_definition_and_spans_the_rows(case, data):
     rows, n = case
     h = la.howell(la.mat(rows, n))
     out = h.matrix.rows
@@ -93,6 +93,13 @@ def test_howell_meets_its_definition_and_spans_the_rows(case):
     span = brute_span(rows, n)
     assert brute_span(out, n) == span
     assert la.span_size(h) == len(span)
+    # one coset representative for all of v + span, itself in that coset
+    v = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+    rep = la.coset_representative(h, v)
+    assert tuple((a - b) % 4 for a, b in zip(v, rep)) in span
+    for u in span:
+        assert la.coset_representative(
+            h, tuple((a + b) % 4 for a, b in zip(v, u))) == rep
 
 
 class TestMembership:
@@ -116,6 +123,14 @@ class TestMembership:
             sp = brute_span(rows, 4)
             for v in product(range(4), repeat=4):
                 assert la.membership(h, v) == (v in sp)
+
+
+class TestCosetRepresentative:
+    def test_odd_entry_at_a_two_pivot_column(self):
+        # (1,0) and (3,3) differ by (2,3) = (2,1) + (0,2), in the span
+        h = la.howell(la.mat([(2, 1)], 2))
+        assert la.coset_representative(h, (1, 0)) == \
+            la.coset_representative(h, (3, 3)) == (1, 0)
 
 
 class TestKernel:
