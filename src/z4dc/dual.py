@@ -2,10 +2,13 @@
 dual generator extraction, closed-form free duals, and residue checks.
 
 The kernel route takes the Z4 kernel of the generator matrix (module
-linalg) and verifies the extracted polynomial generators against that
-span; the free-case closed form is certified by the pairing phi_map and
-the cardinality identity |C| * |C-perp| = 4^(r+s).  Z4-level gcds of
-generators are defined as Hensel lifts of the residue gcds (the
+linalg) and verifies the extracted polynomial generators against it:
+the Howell form of their span must equal the kernel's rows.  The
+free-case closed form is certified by the pairing phi_map and the
+cardinality identity |C| * |C-perp| = 4^(r+s); it computes no kernel,
+and its report reads the kernel rows off the certified dual's cached
+Howell form, which is canonical and so equals the kernel's.  Z4-level
+gcds of generators are defined as Hensel lifts of the residue gcds (the
 generators divide x^n-1 with n odd, so the lift exists and is unique);
 that convention is what makes the closed-form dual arithmetic come out
 exactly.
@@ -20,6 +23,7 @@ from . import f2poly, linalg, polytext
 from .code import (
     CodeVector,
     DoubleCyclicCode,
+    _generator_howell,
     canonicalize_ideal,
     code_size,
     generator_matrix,
@@ -123,7 +127,9 @@ def hensel_gcd(a: Poly, b: Poly, n: int) -> Poly:
 
 @dataclass(frozen=True)
 class DualReport:
-    """Dual generators plus the witnesses of the generator relations."""
+    """Dual generators plus the witnesses of the generator relations.
+
+    kernel is the Howell form of C-perp, or None past the kernel cap."""
 
     method: str  # "free-closed-form" | "brute-kernel"
     dual: DoubleCyclicCode | None
@@ -167,7 +173,7 @@ def _left_only_parts(kernel: linalg.MatZ4, r: int, s: int):
 def dual_brute_force(c: DoubleCyclicCode,
                      cap: int = DEFAULT_KERNEL_CAP) -> tuple[linalg.MatZ4, DualReport]:
     """Dual as the exact kernel of the generator matrix, with canonical
-    polynomial generators extracted and verified against the raw span."""
+    polynomial generators extracted and verified against its rows."""
     if c.r + c.s > cap:
         raise DimensionCapExceeded(f"r+s = {c.r + c.s} exceeds kernel cap {cap}")
     K = linalg.kernel(generator_matrix(c))
@@ -186,7 +192,9 @@ def dual_brute_force(c: DoubleCyclicCode,
     l_vec = linalg.coset_representative(
         hperm, (0,) * s + tuple(-x for x in resid[s:]))[s:]
     dual_code = validate(r, s, f1h, g1h, canon(l_vec), f2h, g2h)
-    if not linalg.span_equal(generator_matrix(dual_code), K):
+    # linalg.kernel returns a Howell form and validate cached the
+    # generators' one, so equal spans means equal rows
+    if _generator_howell(dual_code).matrix.rows != K.rows:
         raise InternalCheckFailed("extracted dual generators do not span the kernel")
     report = DualReport(method="brute-kernel", dual=dual_code, kernel=K,
                         l_hat=dual_code.l)
@@ -205,8 +213,9 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
     the kernel oracle.  The assembled dual is certified by the pairing:
     phi_map vanishes on every dual-by-primal generator pair (the dual is
     orthogonal to C) and |C| * |dual| = 4^(r+s) (so it is all of
-    C-perp).  The kernel is computed for the report only when r+s fits
-    the cap.
+    C-perp).  No kernel is computed: when r+s fits the cap, the
+    report's kernel is the certified dual's Howell form, which validate
+    has already cached.
     """
     if not c.is_free:
         raise NotFree("closed form requires f1 = g1 and f2 = g2")
@@ -273,7 +282,7 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
         raise NotFree("closed-form dual generator is not orthogonal to the code")
     if code_size(c) * code_size(dual_code) != 4 ** (r + s):
         raise NotFree("closed-form dual has the wrong cardinality")
-    K = linalg.kernel(generator_matrix(c)) if r + s <= kernel_cap else None
+    K = _generator_howell(dual_code).matrix if r + s <= kernel_cap else None
     return DualReport(method="free-closed-form", dual=dual_code, kernel=K,
                       F1_hat_star=mod_cyclic(F1hs, r),
                       F2_hat_star=mod_cyclic(F2hs, s),

@@ -18,7 +18,7 @@ earlier columns.  (d) holds because every 2-pivot row p queues its
 annihilator row 2*p, which vanishes through p's pivot column, and the
 sweep reduces it against the later rows like any other pending row.
 membership, coset_representative, kernel and span_equal all read its
-output.
+output; kernel returns a Howell form itself.
 
 All values are immutable; every function is pure.
 """
@@ -136,11 +136,14 @@ def coset_representative(h: HowellForm, v) -> tuple[int, ...]:
 
 
 def kernel(m: MatZ4) -> MatZ4:
-    """Rows generating {v : m . v^T = 0 over Z4}.
+    """The Howell form of {v : m . v^T = 0 over Z4}, as a matrix.
 
     Computed by Howell reduction of [m^T | I]: rows whose left block
     vanishes carry exactly the kernel in their right block, because the
-    Howell span property applies columnwise.
+    Howell span property applies columnwise.  They are the last rows of
+    that Howell form, so their right blocks keep properties (a)-(d) and
+    are the kernel's own Howell rows: two kernels are equal iff their
+    rows are, and howell(kernel(m)).matrix == kernel(m).
     """
     nr = len(m.rows)
     aug = []

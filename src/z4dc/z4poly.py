@@ -11,6 +11,8 @@ feed a degree into a formula must reject the zero polynomial first.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import (
     InternalCheckFailed,
     NonUnitLeadingCoefficient,
@@ -183,8 +185,11 @@ def lift_mod2(fbar: f2poly.Poly) -> Poly:
     return tuple(fbar)
 
 
+@functools.lru_cache(maxsize=64)
 def hensel_lift(fbar: f2poly.Poly, n: int) -> Poly:
-    """The unique monic divisor of x^n - 1 over Z4 reducing to fbar mod 2.
+    """The unique monic divisor of x^n - 1 over Z4 reducing to fbar mod 2
+    (cached: the result is an immutable tuple, and callers lift the same
+    few divisors of x^n - 1 again and again).
 
     Graeffe construction: with the naive lift split as a(x^2) + x*b(x^2),
     the lift is +-(a(y)^2 - y*b(y)^2), sign chosen to make it monic.

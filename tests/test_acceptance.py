@@ -254,8 +254,10 @@ class TestCriterion6Properties:
                                         code_size(c) == 4 ** (r + s)
                                     continue
                                 successes += 1
-                                K = rep.kernel
-                                assert K is not None
+                                # rep.kernel is the dual's own Howell
+                                # form; the kernel is computed afresh
+                                K = la.kernel(generator_matrix(c))
+                                assert rep.kernel.rows == K.rows
                                 assert la.span_equal(
                                     generator_matrix(rep.dual), K)
                                 if dual.gcd_convention_faithful(c):

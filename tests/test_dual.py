@@ -245,6 +245,23 @@ class TestDualFree:
         assert successes > 3 * fallbacks  # closed form covers the bulk
 
 
+def test_closed_form_kernel_rows_equal_the_kernel(rng):
+    """The closed form reads kernel_rows off the dual's Howell form; over
+    a seeded free population they equal the kernel of the primal
+    generator matrix, computed independently."""
+    checked = 0
+    for _ in range(150):
+        c = random_code(rng, r_choices=(1, 3, 5, 7, 9),
+                        s_choices=(1, 3, 5, 7, 9), free_only=True)
+        try:
+            rep = dual.dual_free(c)
+        except (NotFree, NotInvertible):
+            continue
+        assert rep.kernel.rows == la.kernel(generator_matrix(c)).rows
+        checked += 1
+    assert checked >= 100, checked
+
+
 class TestDualReportDispatch:
     def test_auto_prefers_free(self):
         rep = dual.dual_report(pair_3_9(), method="auto")

@@ -133,6 +133,21 @@ class TestCosetRepresentative:
             la.coset_representative(h, (3, 3)) == (1, 0)
 
 
+@settings(max_examples=150)
+@given(z4_matrices())
+def test_kernel_rows_are_the_howell_form_of_the_kernel(case):
+    """kernel(m) spans exactly {v : m . v^T = 0} and is already in Howell
+    form, so kernels compare by their rows (dual_brute_force relies on
+    this)."""
+    rows, n = case
+    k = la.kernel(la.mat(rows, n))
+    assert la.howell(k).matrix.rows == k.rows
+    annihilated = {v for v in product(range(4), repeat=n)
+                   if all(sum(a * b for a, b in zip(row, v)) % 4 == 0
+                          for row in rows)}
+    assert brute_span(k.rows, n) == annihilated
+
+
 class TestKernel:
     def test_identity_kernel_trivial(self):
         k = la.kernel(la.mat([(1, 0), (0, 1)], 2))
