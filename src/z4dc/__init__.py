@@ -4,8 +4,7 @@ Exact tooling for the quaternary double cyclic code family: canonical
 generator quintuples, minimal generating sets and sizes, Gray map and
 Lee weight analytics, dual-code construction (closed form and kernel
 oracle), and exhaustive generator-space search.  All arithmetic is
-exact; every closed-form result is backed by an independent brute-force
-check somewhere in the test suite.
+exact.
 """
 
 from .code import (
@@ -18,7 +17,6 @@ from .code import (
     from_spec_dict,
     generator_matrix,
     minimal_generating_set,
-    residue_code,
     shift_T,
     spec_dict,
     tau,
@@ -34,8 +32,6 @@ from .dual import (
     inner_product,
     orthogonal_all_shifts,
     phi_map,
-    project_r,
-    project_s,
     residue_dual_check,
 )
 from .gray import (
@@ -62,7 +58,7 @@ __all__ = [
     "from_spec_dict", "generator_matrix", "gray_image_params", "gray_map",
     "howell", "inner_product", "kernel", "lee_distance", "lee_enumerator",
     "lee_weight", "membership", "min_lee_distance", "minimal_generating_set",
-    "orthogonal_all_shifts", "phi_map", "project_r", "project_s",
-    "residue_code", "residue_dual_check", "search_codes", "shift_T", "span_equal",
-    "spec_dict", "tau", "tau_inv", "validate", "xstar_mul",
+    "orthogonal_all_shifts", "phi_map", "residue_dual_check", "search_codes",
+    "shift_T", "span_equal", "spec_dict", "tau", "tau_inv", "validate",
+    "xstar_mul",
 ]

@@ -6,8 +6,8 @@ linalg) and verifies the extracted polynomial generators against it:
 the Howell form of their span must equal the kernel's rows.  The
 free-case closed form is certified by the pairing phi_map and the
 cardinality identity |C| * |C-perp| = 4^(r+s); it computes no kernel,
-and its report reads the kernel rows off the certified dual's cached
-Howell form, which is canonical and so equals the kernel's.  Z4-level
+and its report reads the kernel rows off the certified dual's Howell
+form, which is canonical and so equals the kernel's.  Z4-level
 gcds of generators are defined as Hensel lifts of the residue gcds (the
 generators divide x^n-1 with n odd, so the lift exists and is unique);
 that convention is what makes the closed-form dual arithmetic come out
@@ -192,8 +192,8 @@ def dual_brute_force(c: DoubleCyclicCode,
     l_vec = linalg.coset_representative(
         hperm, (0,) * s + tuple(-x for x in resid[s:]))[s:]
     dual_code = validate(r, s, f1h, g1h, canon(l_vec), f2h, g2h)
-    # linalg.kernel returns a Howell form and validate cached the
-    # generators' one, so equal spans means equal rows
+    # linalg.kernel returns a Howell form, which is canonical, so equal
+    # spans means equal rows
     if _generator_howell(dual_code).matrix.rows != K.rows:
         raise InternalCheckFailed("extracted dual generators do not span the kernel")
     report = DualReport(method="brute-kernel", dual=dual_code, kernel=K,
@@ -214,8 +214,8 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
     phi_map vanishes on every dual-by-primal generator pair (the dual is
     orthogonal to C) and |C| * |dual| = 4^(r+s) (so it is all of
     C-perp).  No kernel is computed: when r+s fits the cap, the
-    report's kernel is the certified dual's Howell form, which validate
-    has already cached.
+    report's kernel is the certified dual's Howell form, the one Howell
+    reduction of the closed-form route.
     """
     if not c.is_free:
         raise NotFree("closed form requires f1 = g1 and f2 = g2")
@@ -467,71 +467,3 @@ def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
 
     return ResidueDualCheck(F1bar_hat, lbar_hat, F2bar_hat, nubar,
                             lambda_z4, mu_z4, nu_z4, checks)
-
-
-# -- projections ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjectionReport:
-    f: Poly
-    g: Poly
-    size: int
-
-
-def _projection(c: DoubleCyclicCode, cols, spanning, n: int) -> ProjectionReport:
-    """The canonical generators of the projection onto cols, certified
-    against its Howell form: the span is cyclic, so it holds the ideal
-    (f + 2g) iff it holds f + 2g, and it equals the ideal iff it also
-    has its size 4^(n - deg f) * 2^(deg f - deg g)."""
-    f, g = canonicalize_ideal(spanning, n)
-    h = linalg.howell(linalg.column_slice(generator_matrix(c), cols))
-    size = linalg.span_size(h)
-    if (not linalg.membership(h, poly_to_vec(add(f, scale(2, g)), n))
-            or size != 4 ** (n - degree(f)) * 2 ** (degree(f) - degree(g))):
-        raise InternalCheckFailed("canonical generators do not span the projection")
-    return ProjectionReport(f, g, size)
-
-
-def epsilon(c: DoubleCyclicCode) -> int:
-    """deg F1 - deg gcd(F1, l), with the Hensel-lift gcd convention."""
-    return degree(c.f1) - degree(hensel_gcd(c.f1, c.l, c.r))
-
-
-def gcd_convention_faithful(c: DoubleCyclicCode) -> bool:
-    """Whether the residue-gcd convention measures the mixing polynomial
-    exactly: l = 0, or l survives reduction mod 2 and is an exact
-    multiple of its residue gcd with F1.  The closed-form size and
-    degree identities are theorems only on this population."""
-    if c.l == ZERO:
-        return True
-    if reduce_mod2(c.l) == f2poly.ZERO:
-        return False
-    return divmod_monic(c.l, hensel_gcd(c.f1, c.l, c.r))[1] == ZERO
-
-
-def project_r(c: DoubleCyclicCode) -> ProjectionReport:
-    """Projection onto the first r coordinates: the cyclic code (F1, l).
-
-    For free codes with a faithful mixing polynomial the size identity
-    4^(r - deg F1 + eps) is asserted as an internal consistency check.
-    """
-    rep = _projection(c, range(c.r), [c.F1_mod, c.l], c.r)
-    if c.is_free and gcd_convention_faithful(c):
-        expected = 4 ** (c.r - degree(c.f1) + epsilon(c))
-        if rep.size != expected:
-            raise InternalCheckFailed(
-                f"projection size {rep.size} != formula {expected}")
-    return rep
-
-
-def project_s(c: DoubleCyclicCode) -> ProjectionReport:
-    """Projection onto the last s coordinates: the cyclic code (F2)."""
-    rep = _projection(c, range(c.r, c.r + c.s), [c.F2_mod], c.s)
-    if c.is_free:
-        expected = 4 ** (c.s - degree(c.f2))
-        if rep.size != expected:
-            raise InternalCheckFailed(
-                f"projection size {rep.size} != formula {expected}")
-    return rep
-

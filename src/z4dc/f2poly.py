@@ -172,8 +172,8 @@ def factor_cyclic(n: int) -> frozenset[Poly]:
     the nullity of the Frobenius-minus-identity map counts the factors,
     and gcds against Berlekamp subalgebra elements separate them.
     """
-    if n % 2 == 0:
-        raise EvenLength(f"n must be odd, got {n}")
+    if n < 1 or n % 2 == 0:
+        raise EvenLength(f"n must be a positive odd integer, got {n!r}")
     f = xn_plus_1(n)
     if n == 1:
         return frozenset({f})

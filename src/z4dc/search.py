@@ -20,12 +20,13 @@ from .code import (
     spec_dict,
     validate,
 )
-from .errors import LatticeTooLarge, Z4DCError
+from .errors import InvalidInput, LatticeTooLarge, Z4DCError
 from .gray import lee_enumerator
 from .z4poly import Poly, ZERO, canon, degree, divides, hensel_lift, mul, xn_minus_1
 
 DEFAULT_SEARCH_ENUM_CAP = 1 << 20
 DEFAULT_LATTICE_BOUND = 4096
+FORMS = ("i", "ii", "iii")
 
 
 def divisor_lattice(n: int, bound: int = DEFAULT_LATTICE_BOUND) -> list[Poly]:
@@ -94,15 +95,19 @@ def _l_candidates(max_degree: int):
         yield canon(coeffs)
 
 
-def iter_candidates(r: int, s: int, forms=("i", "ii", "iii"),
+def iter_candidates(r: int, s: int, forms=FORMS,
                     max_l_degree: int | None = None,
                     lattice_bound: int = DEFAULT_LATTICE_BOUND):
     """Deterministic stream of candidate generator quintuples.
 
     Case (iii) mixing polynomials range over degree < deg F1 (larger l
     is redundant by the degree normalization); case (ii) uses the
-    configurable bound, by default all residues mod x^r-1.
+    configurable bound, by default all residues mod x^r-1.  forms must
+    be a nonempty collection of "i", "ii" and "iii".
     """
+    if isinstance(forms, str) or not forms or not set(forms) <= set(FORMS):
+        raise InvalidInput(f"forms must be a nonempty subset of "
+                           f"{', '.join(FORMS)}, got {forms!r}")
     D_r = divisor_lattice(r, lattice_bound)
     D_s = divisor_lattice(s, lattice_bound)
     # (g, f) pairs without the sentinel f = g = x^n-1 of an absent block
@@ -124,7 +129,7 @@ def iter_candidates(r: int, s: int, forms=("i", "ii", "iii"),
                            "f2": f2, "g2": g2}
 
 
-def search(r: int, s: int, forms=("i", "ii", "iii"),
+def search(r: int, s: int, forms=FORMS,
            max_l_degree: int | None = None, distance_floor: int = 0,
            enum_cap: int = DEFAULT_SEARCH_ENUM_CAP,
            lattice_bound: int = DEFAULT_LATTICE_BOUND,

@@ -3,7 +3,8 @@
 The oracles here are deliberately naive re-implementations (longhand
 convolution, exhaustive span enumeration, exhaustive Gray-image
 closure, shift-by-shift inner products) kept separate from the library
-paths they check.
+paths they check, plus the quantities of the projection-size lemma,
+which only the tests evaluate.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from itertools import product
 import pytest
 from hypothesis import settings
 
-from z4dc import f2poly, z4poly
+from z4dc import f2poly, linalg, z4poly
 from z4dc.code import validate
-from z4dc.errors import Z4DCError
+from z4dc.dual import hensel_gcd
+from z4dc.errors import InternalCheckFailed, Z4DCError
 
 # Every property test replays the same examples on every run; each keeps
 # its own max_examples.
@@ -169,6 +171,8 @@ def random_code(rng, r_choices=(1, 3, 5, 7), s_choices=(1, 3, 5, 7),
         l = random_poly(rng, max(t1 - 1, 0)) if rng.random() < 0.8 else ()
         try:
             c = validate(r, s, f1=f1, g1=g1, l=l, f2=f2, g2=g2)
+        except InternalCheckFailed:
+            raise
         except Z4DCError:
             continue
         if max_size is not None:
@@ -211,12 +215,41 @@ def shaped_code(rnd, r, s, max_bits, min_bits=0, max_tries=200):
         for l in (random_poly(rnd, max(z4poly.degree(f1) - 1, 0)), ()):
             try:
                 c = validate(r, s, f1=f1, g1=g1, l=l, f2=f2, g2=g2)
+            except InternalCheckFailed:
+                raise
             except Z4DCError:
                 continue
             if code_size(c) >= 2 ** min_bits:
                 return c
             break
     raise AssertionError("shaped_code failed to produce a code of that size")
+
+
+# -- projection oracles --------------------------------------------------
+
+
+def projection_size(m, cols):
+    """The number of words in the projection of the span of m onto cols,
+    from the Howell form of those columns."""
+    return linalg.span_size(linalg.howell(linalg.column_slice(m, cols)))
+
+
+def epsilon(c):
+    """deg F1 - deg gcd(F1, l), with the Hensel-lift gcd convention."""
+    return z4poly.degree(c.f1) - z4poly.degree(hensel_gcd(c.f1, c.l, c.r))
+
+
+def gcd_convention_faithful(c):
+    """Whether the residue-gcd convention measures the mixing polynomial
+    exactly: l = 0, or l survives reduction mod 2 and is an exact
+    multiple of its residue gcd with F1.  The closed-form projection
+    size and dual degree identities are theorems only on this
+    population."""
+    if c.l == z4poly.ZERO:
+        return True
+    if z4poly.reduce_mod2(c.l) == f2poly.ZERO:
+        return False
+    return z4poly.divmod_monic(c.l, hensel_gcd(c.f1, c.l, c.r))[1] == z4poly.ZERO
 
 
 def gcd_f2_oracle(a, b):

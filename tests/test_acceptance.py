@@ -9,7 +9,13 @@ import random
 import time
 from itertools import product
 
-from conftest import all_polys, random_code
+from conftest import (
+    all_polys,
+    epsilon,
+    gcd_convention_faithful,
+    projection_size,
+    random_code,
+)
 from z4dc import dual, f2poly, gray, linalg as la, z4poly as zp
 from z4dc.code import (
     CodeVector,
@@ -260,19 +266,19 @@ class TestCriterion6Properties:
                                 assert rep.kernel.rows == K.rows
                                 assert la.span_equal(
                                     generator_matrix(rep.dual), K)
-                                if dual.gcd_convention_faithful(c):
-                                    eps = dual.epsilon(c)
-                                    pr = dual.project_r(c)
-                                    ps = dual.project_s(c)
-                                    assert pr.size == 4 ** (c.r - c.t1 + eps)
-                                    assert ps.size == 4 ** (c.s - c.r1)
-                                    kr = la.span_size(la.howell(
-                                        la.column_slice(K, range(c.r))))
-                                    ks = la.span_size(la.howell(
-                                        la.column_slice(
-                                            K, range(c.r, c.r + c.s))))
-                                    assert kr == 4 ** c.t1
-                                    assert ks == 4 ** (c.r1 + eps)
+                                if gcd_convention_faithful(c):
+                                    eps = epsilon(c)
+                                    G = generator_matrix(c)
+                                    left = range(c.r)
+                                    right = range(c.r, c.r + c.s)
+                                    assert projection_size(G, left) == \
+                                        4 ** (c.r - c.t1 + eps)
+                                    assert projection_size(G, right) == \
+                                        4 ** (c.s - c.r1)
+                                    assert projection_size(K, left) == \
+                                        4 ** c.t1
+                                    assert projection_size(K, right) == \
+                                        4 ** (c.r1 + eps)
                                     d = rep.dual
                                     dbar = f2poly.gcd(
                                         zp.reduce_mod2(c.F1),

@@ -252,6 +252,23 @@ class TestSearchCli:
         assert capsys.readouterr().out == first
         assert first.startswith("r,s,f1,g1,l,f2,g2,n,log2M,d")
 
+    @pytest.mark.parametrize("forms", ["iv", ",", "ii,iv"])
+    def test_unknown_forms_exit_2(self, capsys, forms):
+        rc = cli.main(["search", "1", "3", "--forms", forms])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "InvalidInput"
+        assert "i, ii, iii" in err["message"]
+
+    @pytest.mark.parametrize("r, s", [("1", "-1"), ("-3", "1")])
+    def test_nonpositive_length_exits_2(self, capsys, r, s):
+        rc = cli.main(["search", r, s])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (rc, err["type"]) == (2, "EvenLength")
+        assert "positive odd integer" in err["message"]
+        assert err["invariant"] == "block lengths must be odd"
+
 
 class TestGrayExport:
     def test_export_lines(self, kerdock_spec, tmp_path):

@@ -1,5 +1,5 @@
 """Double cyclic code core: validation, generating sets, enumeration,
-ideal canonicalization, residue codes."""
+ideal canonicalization."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,6 @@ from z4dc.code import (
     enumerate_codewords,
     generator_matrix,
     minimal_generating_set,
-    residue_code,
     shift_T,
     tau,
     tau_inv,
@@ -445,29 +444,6 @@ def spanning_sets(draw):
 def test_canonicalize_ideal_matches_howell_span(case):
     n, spanning = case
     assert_canonical_pair_spans(spanning, n)
-
-
-class TestResidueCode:
-    def test_pair_3_9_residue_generators(self):
-        rc = residue_code(pair_3_9())
-        assert rc.F1bar == (1, 1, 1)
-        assert rc.lbar == (1, 1)
-        assert rc.F2bar == (1, 0, 0, 1, 0, 0, 1)
-
-    def test_left_residue_vanishes(self):
-        c = validate(3, 3, f1=zp.xn_minus_1(3), g1=(1,), l=(),
-                     f2=(1,), g2=(1,))
-        assert residue_code(c).F1bar == ()
-
-    def test_size_matches_enumeration(self, rng):
-        for _ in range(80):
-            c = random_code(rng, max_size=2 ** 12)
-            rc = residue_code(c)
-            mods = {tuple(x % 2 for x in v.concat())
-                    for v in enumerate_codewords(c)}
-            assert rc.size() == len(mods)
-            for v in mods:
-                assert rc.contains(v)
 
 
 class TestSpecDictRoundTrip:

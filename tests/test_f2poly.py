@@ -81,6 +81,11 @@ class TestFactorCyclic:
         with pytest.raises(EvenLength):
             fp.factor_cyclic(4)
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_nonpositive_length_rejected(self, n):
+        with pytest.raises(EvenLength, match="positive odd integer"):
+            fp.factor_cyclic(n)
+
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 15, 17, 21, 23])
     def test_factors_distinct_irreducible_and_multiply_back(self, n):
         facs = fp.factor_cyclic(n)

@@ -7,7 +7,7 @@ import pytest
 
 from z4dc import search as sm, z4poly as zp
 from z4dc.code import code_size, from_spec_dict, validate
-from z4dc.errors import LatticeTooLarge, Z4DCError
+from z4dc.errors import InvalidInput, LatticeTooLarge, Z4DCError
 from z4dc.gray import lee_enumerator
 from z4dc.polytext import parse
 
@@ -35,6 +35,15 @@ class TestDivisorLattice:
     def test_lattice_bound(self):
         with pytest.raises(LatticeTooLarge):
             sm.divisor_lattice(15, bound=8)
+
+
+class TestForms:
+    @pytest.mark.parametrize("forms", [("iv",), (), ("ii", "iv"), "ii"])
+    def test_unknown_forms_rejected(self, forms):
+        with pytest.raises(InvalidInput, match="i, ii, iii"):
+            list(sm.iter_candidates(1, 3, forms=forms))
+        with pytest.raises(InvalidInput, match="i, ii, iii"):
+            sm.search(1, 3, forms=forms)
 
 
 class TestSearch:
