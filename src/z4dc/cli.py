@@ -49,9 +49,12 @@ UNCAPPED = 1 << 62
 def _default_cap() -> int:
     env = os.environ.get(ENV_MAX_ENUM)
     try:
-        return int(env) if env else DEFAULT_ENUM_CAP
+        cap = int(env) if env else DEFAULT_ENUM_CAP
     except ValueError:
         raise InvalidInput(f"${ENV_MAX_ENUM} must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise InvalidInput(f"${ENV_MAX_ENUM} must be at least 1, got {cap}")
+    return cap
 
 
 def _load_spec(path: str) -> dict:
@@ -151,10 +154,10 @@ def _claims_for_case(case: dict, cap: int, jobs: int):
         yield ("dual_l_hat", pinned["l_hat"], polytext.render(rep.l_hat))
         yield ("dual_size", pinned["size"], code_size(rep.dual))
         # the report's kernel is the dual's own Howell form, so the
-        # cross-check computes the kernel afresh
+        # cross-check computes the kernel afresh; both sides are Howell
+        # forms, which are canonical, so equal spans means equal rows
         yield ("dual_span_equals_kernel", True,
-               linalg.span_equal(generator_matrix(rep.dual),
-                                 linalg.kernel(generator_matrix(c))))
+               rep.kernel == linalg.kernel(generator_matrix(c)))
         chk = residue_dual_check(c, rep.kernel, dual_code=rep.dual)
         yield ("residue_dual_relations", True, chk.all_ok())
 
@@ -277,6 +280,8 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
+        if args.max_enum is not None and args.max_enum < 1:
+            raise InvalidInput(f"--max-enum must be at least 1, got {args.max_enum}")
         if args.max_enum is None and args.command != "search":
             args.max_enum = _default_cap()
         return args.fn(args)

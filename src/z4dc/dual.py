@@ -1,17 +1,16 @@
 """Duality of double cyclic codes: inner products, the bilinear pairing,
 dual generator extraction, closed-form free duals, and residue checks.
 
-The kernel route takes the Z4 kernel of the generator matrix (module
-linalg) and verifies the extracted polynomial generators against it:
-the Howell form of their span must equal the kernel's rows.  The
-free-case closed form is certified by the pairing phi_map and the
-cardinality identity |C| * |C-perp| = 4^(r+s); it computes no kernel,
-and its report reads the kernel rows off the certified dual's Howell
-form, which is canonical and so equals the kernel's.  Z4-level
-gcds of generators are defined as Hensel lifts of the residue gcds (the
-generators divide x^n-1 with n odd, so the lift exists and is unique);
-that convention is what makes the closed-form dual arithmetic come out
-exactly.
+Every dual, closed-form or extracted from the Z4 kernel of the
+generator matrix (module linalg), carries one certificate (_is_dual):
+the pairing phi_map vanishes on every dual-by-primal generator pair,
+so the candidate lies in C-perp, and |C| * |candidate| = 4^(r+s), so
+it is all of C-perp.  The closed form computes no kernel; its report
+reads the kernel rows off the certified dual's Howell form, which is
+canonical and so equals the kernel's.  The Z4-level gcd of F1 and l is
+the Hensel lift of their residue gcd (residue_gcd; the residue divides
+x^r-1 with r odd, so the lift exists and is unique); that convention is
+what makes the closed-form dual arithmetic come out exactly.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ from .errors import (
     InternalCheckFailed,
     NotFree,
     NotInvertible,
-    NotMonic,
 )
 from .z4poly import (
+    ONE,
     Poly,
     ZERO,
     add,
@@ -49,7 +48,6 @@ from .z4poly import (
     exact_div,
     hensel_lift,
     inverse_mod_monic,
-    is_monic,
     make_monic,
     mod_cyclic,
     monomial,
@@ -113,16 +111,11 @@ def orthogonal_all_shifts(u: CodeVector, v: CodeVector) -> bool:
     return first_nonorthogonal_shift(u, v) is None
 
 
-def hensel_gcd(a: Poly, b: Poly, n: int) -> Poly:
-    """Z4-level gcd convention: the Hensel lift of gcd of the residues.
-
-    Sound whenever the residue gcd divides x^n-1 over F2, which holds
-    for generator data (a or b divides x^n-1).
-    """
-    abar, bbar = reduce_mod2(a), reduce_mod2(b)
-    if not abar and not bbar:
-        return xn_minus_1(n)
-    return hensel_lift(f2poly.gcd(abar, bbar), n)
+def residue_gcd(c: DoubleCyclicCode) -> f2poly.Poly:
+    """gcd(x^r+1, F1 mod 2, l mod 2) over F2: the residue gcd of F1 and
+    l, since F1 mod 2 is the residue of the monic divisor f1 of x^r-1.
+    Its Hensel lift is the Z4-level gcd convention of the closed form."""
+    return f2poly.cyclic_gcd((reduce_mod2(c.F1), reduce_mod2(c.l)), c.r)
 
 
 @dataclass(frozen=True)
@@ -173,7 +166,8 @@ def _left_only_parts(kernel: linalg.MatZ4, r: int, s: int):
 def dual_brute_force(c: DoubleCyclicCode,
                      cap: int = DEFAULT_KERNEL_CAP) -> tuple[linalg.MatZ4, DualReport]:
     """Dual as the exact kernel of the generator matrix, with canonical
-    polynomial generators extracted and verified against its rows."""
+    polynomial generators extracted from its rows and certified by
+    _is_dual."""
     if c.r + c.s > cap:
         raise DimensionCapExceeded(f"r+s = {c.r + c.s} exceeds kernel cap {cap}")
     K = linalg.kernel(generator_matrix(c))
@@ -192,10 +186,10 @@ def dual_brute_force(c: DoubleCyclicCode,
     l_vec = linalg.coset_representative(
         hperm, (0,) * s + tuple(-x for x in resid[s:]))[s:]
     dual_code = validate(r, s, f1h, g1h, canon(l_vec), f2h, g2h)
-    # linalg.kernel returns a Howell form, which is canonical, so equal
-    # spans means equal rows
-    if _generator_howell(dual_code).matrix.rows != K.rows:
-        raise InternalCheckFailed("extracted dual generators do not span the kernel")
+    if not _is_dual(c, dual_code):
+        raise InternalCheckFailed(
+            f"extracted dual generators fail the pairing certificate; "
+            f"the kernel rows are {[list(row) for row in K.rows]}")
     report = DualReport(method="brute-kernel", dual=dual_code, kernel=K,
                         l_hat=dual_code.l)
     return K, report
@@ -204,31 +198,27 @@ def dual_brute_force(c: DoubleCyclicCode,
 def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> DualReport:
     """Closed-form dual of a free code.
 
-    With d = gcd(F1, l) (Hensel-lift convention) the dual generators are
+    With d the Hensel lift of residue_gcd(c) the dual generators are
     F1_hat* = (x^r-1)/d,  F2_hat* = (x^s-1)*d/(F1*F2),  and l_hat from
     l_hat* * F1 = nu * (x^r-1) where nu = x^(k - deg F2 + deg l) *
     (A*)^-1 modulo (F1/d)* with A = l/d.  Inputs the closed form cannot
     express (failed exact divisions, residues sharing factors with the
     modulus) raise NotFree / NotInvertible so callers can fall back to
-    the kernel oracle.  The assembled dual is certified by the pairing:
-    phi_map vanishes on every dual-by-primal generator pair (the dual is
-    orthogonal to C) and |C| * |dual| = 4^(r+s) (so it is all of
-    C-perp).  No kernel is computed: when r+s fits the cap, the
-    report's kernel is the certified dual's Howell form, the one Howell
-    reduction of the closed-form route.
+    the kernel oracle, as does a dual that fails _is_dual.  No kernel
+    is computed: when r+s fits the cap, the report's kernel is the
+    certified dual's Howell form, the one Howell reduction of the
+    closed-form route.
     """
     if not c.is_free:
         raise NotFree("closed form requires f1 = g1 and f2 = g2")
     r, s = c.r, c.s
     k = math.lcm(r, s)
     F1m, F2m = c.f1, c.f2  # monic representatives of the combined generators
-    if not (is_monic(F1m) and is_monic(F2m)):
-        raise NotMonic("combined generators must normalize to monic")
     if c.l != ZERO and reduce_mod2(c.l) == f2poly.ZERO:
         raise NotInvertible(
             "the residue-gcd convention cannot see a 2-torsion mixing "
             "polynomial; use the kernel oracle")
-    d1 = hensel_gcd(F1m, c.l, r)
+    d1 = hensel_lift(residue_gcd(c), r)
 
     F1hs = exact_div(xn_minus_1(r), d1)
     if mod_cyclic(F1hs, r) == ZERO:
@@ -272,22 +262,17 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
             nu = scale(unit, nu)
             l_hat = scale(unit, l_hat)
 
-    lam = exact_div(mul(F1hs, d1), xn_minus_1(r))
-    mu = exact_div(mul(F2hs, mul(F1m, F2m)), mul(xn_minus_1(s), d1))
-
     dual_code = validate(r, s, f1h, g1h, l_hat, f2h, g2h)
-    # Containment: every dual generator pairs to zero with every primal
-    # generator; equality: the sizes multiply to 4^(r+s).
-    if not _pairs_to_zero(c, _generators(dual_code)):
-        raise NotFree("closed-form dual generator is not orthogonal to the code")
-    if code_size(c) * code_size(dual_code) != 4 ** (r + s):
-        raise NotFree("closed-form dual has the wrong cardinality")
+    if not _is_dual(c, dual_code):
+        raise NotFree("closed-form dual fails the pairing certificate")
     K = _generator_howell(dual_code).matrix if r + s <= kernel_cap else None
+    # lambda and mu are 1: F1hs * d1 = x^r-1 and F2hs * F1 * F2 =
+    # (x^s-1) * d1 are the exact divisions that define F1hs and F2hs
     return DualReport(method="free-closed-form", dual=dual_code, kernel=K,
                       F1_hat_star=mod_cyclic(F1hs, r),
                       F2_hat_star=mod_cyclic(F2hs, s),
-                      l_hat=dual_code.l, nu=nu, lambda_witness=lam,
-                      mu_witness=mu)
+                      l_hat=dual_code.l, nu=nu, lambda_witness=ONE,
+                      mu_witness=ONE)
 
 
 def _generators(c: DoubleCyclicCode) -> list[tuple[Poly, Poly]]:
@@ -300,6 +285,14 @@ def _pairs_to_zero(c: DoubleCyclicCode, pairs) -> bool:
     i.e. phi_map vanishes against both generators of c."""
     return all(phi_map(p, g, c.r, c.s) == ZERO
                for p in pairs for g in _generators(c))
+
+
+def _is_dual(c: DoubleCyclicCode, d: DoubleCyclicCode) -> bool:
+    """The duality certificate: d is orthogonal to c (phi_map vanishes
+    on every pair of a d generator and a c generator) and |c| * |d| =
+    4^(r+s), so d is all of C-perp."""
+    return (_pairs_to_zero(c, _generators(d))
+            and code_size(c) * code_size(d) == 4 ** (c.r + c.s))
 
 
 def dual_report(c: DoubleCyclicCode, method: str = "auto",
@@ -394,18 +387,16 @@ def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
     F1bar = reduce_mod2(c.F1)
     F2bar = reduce_mod2(c.F2)
     lbar = reduce_mod2(c.l)
-    dbar = f2poly.gcd(F1bar, lbar) if (F1bar or lbar) else f2poly.xn_plus_1(r)
+    dbar = residue_gcd(c)
 
     # reciprocal formulas for the residue dual generators
     rhs1 = f2poly.polydivmod(f2poly.xn_plus_1(r), dbar)[0]
-    checks["F1_hat_reciprocal_formula"] = (
-        f2poly.canon(tuple(reversed(F1bar_hat))) == rhs1)
+    checks["F1_hat_reciprocal_formula"] = reciprocal(F1bar_hat) == rhs1
     q2, rem2 = f2poly.polydivmod(
         f2poly.mul(f2poly.xn_plus_1(s), dbar), f2poly.mul(F1bar, F2bar))
     checks["F2_hat_formula_exact_division"] = rem2 == f2poly.ZERO
     checks["F2_hat_reciprocal_formula"] = (
-        rem2 == f2poly.ZERO
-        and f2poly.canon(tuple(reversed(F2bar_hat))) == q2)
+        rem2 == f2poly.ZERO and reciprocal(F2bar_hat) == q2)
 
     # degree identities
     checks["F1_hat_degree"] = (
@@ -416,54 +407,42 @@ def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
 
     # nubar congruence
     nubar = None
-    mbar = f2poly.polydivmod(f2poly.canon(tuple(reversed(F1bar))),
-                             f2poly.canon(tuple(reversed(dbar))))[0]
+    mbar = f2poly.polydivmod(reciprocal(F1bar), reciprocal(dbar))[0]
     if f2poly.degree(mbar) == 0 or not lbar:
         nubar = f2poly.ZERO
         checks["nubar_congruence"] = True
     else:
         abar = f2poly.polydivmod(lbar, dbar)[0]
-        astar = f2poly.canon(tuple(reversed(abar)))
+        astar = reciprocal(abar)
         g, u, _ = f2poly.xgcd(astar, mbar)
         if g != f2poly.ONE:
             checks["nubar_congruence"] = False
         else:
-            def xpow(e: int) -> f2poly.Poly:
-                return f2poly.canon([0] * e + [1])
-
             nubar = f2poly.polymod(
-                f2poly.mul(xpow(k - f2poly.degree(F2bar) + f2poly.degree(lbar)), u),
+                f2poly.mul(monomial(k - f2poly.degree(F2bar) + f2poly.degree(lbar)), u),
                 mbar)
             lhs = f2poly.add(
-                f2poly.mul(f2poly.mul(nubar, xpow(k - f2poly.degree(lbar) - 1)), astar),
-                xpow(k - f2poly.degree(F2bar) - 1))
+                f2poly.mul(f2poly.mul(nubar, monomial(k - f2poly.degree(lbar) - 1)), astar),
+                monomial(k - f2poly.degree(F2bar) - 1))
             checks["nubar_congruence"] = f2poly.polymod(lhs, mbar) == f2poly.ZERO
 
     # Z4-lifted divisibility relations of the generator theory
     lambda_z4 = mu_z4 = nu_z4 = None
     if dual_code is not None:
-        d1 = hensel_gcd(c.f1, c.l, r)
-        f1h_star = reciprocal(dual_code.f1)
-        prod = mul(f1h_star, d1)
-        qz, remz = divmod_monic(prod, xn_minus_1(r))
-        checks["F1_hat_star_annihilates_gcd"] = remz == ZERO
-        if remz == ZERO:
-            lambda_z4 = qz
-        f2h_star = reciprocal(dual_code.f2)
-        prod = mul(f2h_star, mul(c.f1, c.f2))
-        qz, remz = divmod_monic(prod, mul(xn_minus_1(s), d1))
-        checks["F2_hat_star_multiple_relation"] = remz == ZERO
-        if remz == ZERO:
-            mu_z4 = qz
-        if dual_code.l == ZERO:
-            checks["l_hat_star_annihilates_F1"] = True
-            nu_z4 = ZERO
-        else:
-            prod = mul(reciprocal(dual_code.l), c.f1)
-            qz, remz = divmod_monic(prod, xn_minus_1(r))
-            checks["l_hat_star_annihilates_F1"] = remz == ZERO
-            if remz == ZERO:
-                nu_z4 = qz
+        def quotient(a: Poly, b: Poly) -> Poly | None:
+            """a / b over Z4 when b divides a exactly, else None."""
+            q, rem = divmod_monic(a, b)
+            return None if rem else q
+
+        d1 = hensel_lift(dbar, r)
+        lambda_z4 = quotient(mul(reciprocal(dual_code.f1), d1), xn_minus_1(r))
+        checks["F1_hat_star_annihilates_gcd"] = lambda_z4 is not None
+        mu_z4 = quotient(mul(reciprocal(dual_code.f2), mul(c.f1, c.f2)),
+                         mul(xn_minus_1(s), d1))
+        checks["F2_hat_star_multiple_relation"] = mu_z4 is not None
+        nu_z4 = ZERO if dual_code.l == ZERO else quotient(
+            mul(reciprocal(dual_code.l), c.f1), xn_minus_1(r))
+        checks["l_hat_star_annihilates_F1"] = nu_z4 is not None
 
     return ResidueDualCheck(F1bar_hat, lbar_hat, F2bar_hat, nubar,
                             lambda_z4, mu_z4, nu_z4, checks)

@@ -25,10 +25,6 @@ class NonUnitLeadingCoefficient(Z4DCError):
     invariant = "divisor leading coefficient must be a unit of Z4"
 
 
-class UnsupportedDivisor(Z4DCError):
-    invariant = "divisor must be zero, unit-lead, or 2*(unit-lead)"
-
-
 class BothZero(Z4DCError):
     invariant = "gcd arguments must not both be zero"
 

@@ -102,10 +102,6 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0, s0, t0
 
 
-def mulmod(a: Poly, b: Poly, m: Poly) -> Poly:
-    return polymod(mul(a, b), m)
-
-
 def to_bits(v) -> int:
     """Bitmask of a 0/1 vector (or bit polynomial): bit i is entry i mod 2."""
     return sum((b & 1) << i for i, b in enumerate(v))
@@ -184,7 +180,7 @@ def factor_cyclic(n: int) -> frozenset[Poly]:
     xsq = polymod((0, 0, 1), f)
     for _ in range(d):
         rows.append(cur)
-        cur = mulmod(cur, xsq, f)
+        cur = polymod(mul(cur, xsq), f)
     # Q - I, acting on coefficient row vectors
     qmi = []
     for i in range(d):

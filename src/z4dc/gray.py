@@ -35,11 +35,6 @@ from .errors import DimensionMismatch, EnumerationCapExceeded, ZeroCode
 
 LEE_WEIGHTS = (0, 1, 2, 1)
 _GRAY_PAIRS = ((0, 0), (0, 1), (1, 1), (1, 0))
-_GRAY_INV = {pair: sym for sym, pair in enumerate(_GRAY_PAIRS)}
-
-
-def lee_weight_symbol(a: int) -> int:
-    return LEE_WEIGHTS[a % 4]
 
 
 def lee_weight(v) -> int:
@@ -58,15 +53,6 @@ def gray_map(v) -> tuple[int, ...]:
     for c in v:
         out.extend(_GRAY_PAIRS[c % 4])
     return tuple(out)
-
-
-def gray_inverse(bits) -> tuple[int, ...]:
-    """The Gray map is a bijection per symbol, so any even-length binary
-    word decodes uniquely."""
-    if len(bits) % 2:
-        raise DimensionMismatch("binary word length must be even")
-    return tuple(_GRAY_INV[(bits[2 * i] & 1, bits[2 * i + 1] & 1)]
-                 for i in range(len(bits) // 2))
 
 
 @dataclass(frozen=True)

@@ -114,14 +114,6 @@ def howell(m: MatZ4) -> HowellForm:
     return HowellForm(MatZ4(tuple(map(tuple, out)), n), tuple(pivots))
 
 
-def span_size(h: HowellForm) -> int:
-    """Number of vectors in the row span: 4 per unit pivot, 2 per 2-pivot."""
-    size = 1
-    for _, val in h.pivots:
-        size *= 4 if val == 1 else 2
-    return size
-
-
 def membership(h: HowellForm, v) -> bool:
     """True iff v lies in the row span."""
     return not any(coset_representative(h, tuple(v)))

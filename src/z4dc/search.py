@@ -103,11 +103,14 @@ def iter_candidates(r: int, s: int, forms=FORMS,
     Case (iii) mixing polynomials range over degree < deg F1 (larger l
     is redundant by the degree normalization); case (ii) uses the
     configurable bound, by default all residues mod x^r-1.  forms must
-    be a nonempty collection of "i", "ii" and "iii".
+    be a nonempty collection of "i", "ii" and "iii", and max_l_degree
+    None or at least 0.
     """
     if isinstance(forms, str) or not forms or not set(forms) <= set(FORMS):
         raise InvalidInput(f"forms must be a nonempty subset of "
                            f"{', '.join(FORMS)}, got {forms!r}")
+    if max_l_degree is not None and max_l_degree < 0:
+        raise InvalidInput(f"max_l_degree must be at least 0, got {max_l_degree}")
     D_r = divisor_lattice(r, lattice_bound)
     D_s = divisor_lattice(s, lattice_bound)
     # (g, f) pairs without the sentinel f = g = x^n-1 of an absent block
@@ -142,6 +145,8 @@ def search(r: int, s: int, forms=FORMS,
     notice.  Every stored result re-validates from its serialized spec
     and reproduces its recorded parameters.
     """
+    if enum_cap < 1:
+        raise InvalidInput(f"enum_cap must be at least 1, got {enum_cap}")
     evaluated = skipped = 0
     notices: list[str] = []
     scored: list[tuple[int, int, str, dict]] = []

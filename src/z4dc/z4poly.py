@@ -18,7 +18,6 @@ from .errors import (
     NonUnitLeadingCoefficient,
     NotADivisor,
     NotInvertible,
-    UnsupportedDivisor,
     ZeroPolynomial,
 )
 from . import f2poly
@@ -89,13 +88,6 @@ def xn_minus_1(n: int) -> Poly:
     return canon([3] + [0] * (n - 1) + [1])
 
 
-def theta(m: int) -> Poly:
-    """1 + x + ... + x^(m-1)."""
-    if m < 1:
-        raise ValueError("theta requires m >= 1")
-    return (1,) * m
-
-
 def mod_cyclic(a: Poly, n: int) -> Poly:
     """Reduce a modulo x^n - 1 by folding exponents mod n."""
     if len(a) <= n:
@@ -134,23 +126,8 @@ def divmod_monic(a: Poly, d: Poly) -> tuple[Poly, Poly]:
 
 
 def divides(d: Poly, a: Poly) -> bool:
-    """True iff a = q*d for some q over Z4.
-
-    Handles unit-lead d directly, d = 2*d' with unit-lead d' via the
-    residue criterion (2*(q*d') only depends on q mod 2), and d = 0.
-    """
-    if not d:
-        return not a
-    if d[-1] % 2 == 1:
-        return not divmod_monic(a, d)[1]
-    if all(c % 2 == 0 for c in d):
-        half = canon(c // 2 for c in d)
-        if half and half[-1] % 2 == 1:
-            if any(c % 2 for c in a):
-                return False
-            abar = f2poly.canon(c // 2 for c in a)
-            return not f2poly.polymod(abar, reduce_mod2(half))
-    raise UnsupportedDivisor(f"cannot decide divisibility by {d!r}")
+    """True iff a = q*d for some q over Z4, for unit-lead d."""
+    return not divmod_monic(a, d)[1]
 
 
 def exact_div(a: Poly, d: Poly) -> Poly:

@@ -3,8 +3,9 @@
 The oracles here are deliberately naive re-implementations (longhand
 convolution, exhaustive span enumeration, exhaustive Gray-image
 closure, shift-by-shift inner products) kept separate from the library
-paths they check, plus the quantities of the projection-size lemma,
-which only the tests evaluate.
+paths they check, plus quantities that only the tests evaluate: the
+size of a Howell span, the inverse Gray map, and those of the
+projection-size lemma.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import settings
 
 from z4dc import f2poly, linalg, z4poly
 from z4dc.code import validate
-from z4dc.dual import hensel_gcd
+from z4dc.dual import residue_gcd
 from z4dc.errors import InternalCheckFailed, Z4DCError
 
 # Every property test replays the same examples on every run; each keeps
@@ -80,6 +81,15 @@ def brute_span(rows, ncols):
     return out
 
 
+def span_size(h):
+    """Number of vectors in the row span of a Howell form: 4 per unit
+    pivot, 2 per 2-pivot."""
+    size = 1
+    for _, val in h.pivots:
+        size *= 4 if val == 1 else 2
+    return size
+
+
 def ideal_rows(p, n):
     """The n cyclic shifts of p's coefficient vector mod x^n-1: rows
     whose span is the ideal (p) of Z4[x]/(x^n-1)."""
@@ -90,6 +100,17 @@ def ideal_rows(p, n):
 
 
 # -- exhaustive Gray-image oracle -----------------------------------------
+
+
+_GRAY_INV = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
+
+
+def gray_inverse(bits):
+    """The Gray map is a bijection per symbol, so any even-length binary
+    word decodes uniquely."""
+    assert len(bits) % 2 == 0, "binary word length must be even"
+    return tuple(_GRAY_INV[(bits[2 * i] & 1, bits[2 * i + 1] & 1)]
+                 for i in range(len(bits) // 2))
 
 
 def bits_to_int(bits):
@@ -231,12 +252,12 @@ def shaped_code(rnd, r, s, max_bits, min_bits=0, max_tries=200):
 def projection_size(m, cols):
     """The number of words in the projection of the span of m onto cols,
     from the Howell form of those columns."""
-    return linalg.span_size(linalg.howell(linalg.column_slice(m, cols)))
+    return span_size(linalg.howell(linalg.column_slice(m, cols)))
 
 
 def epsilon(c):
-    """deg F1 - deg gcd(F1, l), with the Hensel-lift gcd convention."""
-    return z4poly.degree(c.f1) - z4poly.degree(hensel_gcd(c.f1, c.l, c.r))
+    """deg F1 - deg gcd(F1, l), with the residue gcd convention."""
+    return z4poly.degree(c.f1) - f2poly.degree(residue_gcd(c))
 
 
 def gcd_convention_faithful(c):
@@ -249,7 +270,8 @@ def gcd_convention_faithful(c):
         return True
     if z4poly.reduce_mod2(c.l) == f2poly.ZERO:
         return False
-    return z4poly.divmod_monic(c.l, hensel_gcd(c.f1, c.l, c.r))[1] == z4poly.ZERO
+    d = z4poly.hensel_lift(residue_gcd(c), c.r)
+    return z4poly.divmod_monic(c.l, d)[1] == z4poly.ZERO
 
 
 def gcd_f2_oracle(a, b):

@@ -13,8 +13,10 @@ from conftest import (
     all_polys,
     epsilon,
     gcd_convention_faithful,
+    gray_inverse,
     projection_size,
     random_code,
+    span_size,
 )
 from z4dc import dual, f2poly, gray, linalg as la, z4poly as zp
 from z4dc.code import (
@@ -70,7 +72,7 @@ def test_criterion_1_kerdock_16_256_6():
         x = tuple(a ^ b for a, b in zip(u, v))
         from z4dc.code import from_concat
 
-        assert not contains(c, from_concat(gray.gray_inverse(x), 1, 7))
+        assert not contains(c, from_concat(gray_inverse(x), 1, 7))
 
 
 def test_criterion_2_code_32_1024_12():
@@ -135,7 +137,7 @@ class TestCriterion6Properties:
                 size = code_size(c)
                 words = {v.concat() for v in enumerate_codewords(c)}
                 assert len(words) == size
-                assert la.span_size(la.howell(generator_matrix(c))) == size
+                assert span_size(la.howell(generator_matrix(c))) == size
 
     def test_minimality(self):
         rng = random.Random(602)
@@ -149,13 +151,13 @@ class TestCriterion6Properties:
                 G = generator_matrix(c)
                 if not G.rows:
                     continue
-                full = la.span_size(la.howell(G))
+                full = span_size(la.howell(G))
                 doubled = la.MatZ4(tuple(tuple((2 * x) % 4 for x in row)
                                          for row in G.rows), G.ncols)
-                type_ok = (la.span_size(la.howell(doubled))
+                type_ok = (span_size(la.howell(doubled))
                            == 2 ** (c.r + c.s - c.t1 - c.r1))
                 minimal = all(
-                    la.span_size(la.howell(
+                    span_size(la.howell(
                         la.MatZ4(G.rows[:i] + G.rows[i + 1:], G.ncols))) < full
                     for i in range(len(G.rows)))
                 assert minimal == type_ok
@@ -171,7 +173,7 @@ class TestCriterion6Properties:
                                 s_choices=(1, 3, 5, 7), max_size=2 ** 16)
                 K, _ = dual.dual_brute_force(c)
                 h = la.howell(K)
-                assert code_size(c) * la.span_size(h) == 4 ** (c.r + c.s)
+                assert code_size(c) * span_size(h) == 4 ** (c.r + c.s)
                 for row in K.rows:
                     v = shift_T(CodeVector(row[:c.r], row[c.r:]))
                     assert la.membership(h, v.concat())

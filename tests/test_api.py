@@ -1,9 +1,40 @@
-"""The package's public name list."""
+"""The package's public name list, and no dead imports in its modules."""
+
+import ast
+from pathlib import Path
+
+import pytest
 
 import z4dc
+
+MODULES = sorted(p for p in Path(z4dc.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
 
 
 def test_every_exported_name_resolves():
     assert len(set(z4dc.__all__)) == len(z4dc.__all__)
     missing = [name for name in z4dc.__all__ if not hasattr(z4dc, name)]
     assert not missing
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the top-level imports of a module that nothing in
+    it refers to (``from __future__`` imports excepted)."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_unused_import_check_flags_a_dead_name():
+    assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == ["os", "b"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

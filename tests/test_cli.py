@@ -229,6 +229,19 @@ class TestInputContract:
         rc, err = self.run_spec(tmp_path, capsys, {"r": 1, "s": 7}, "--jobs", jobs)
         assert (rc, err["type"]) == (2, "InvalidInput")
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one(self, tmp_path, capsys, cap):
+        rc, err = self.run_spec(tmp_path, capsys, {"r": 1, "s": 7}, "--max-enum", cap)
+        assert (rc, err["type"]) == (2, "InvalidInput")
+        assert "--max-enum must be at least 1" in err["message"]
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_variable_below_one(self, tmp_path, capsys, monkeypatch, cap):
+        monkeypatch.setenv(cli.ENV_MAX_ENUM, cap)
+        rc, err = self.run_spec(tmp_path, capsys, {"r": 1, "s": 7})
+        assert (rc, err["type"]) == (2, "InvalidInput")
+        assert "must be at least 1" in err["message"]
+
     def test_coefficient_list_spec_with_empty_mixing(self, tmp_path, capsys):
         # the array form of the dual population, l = [] the zero polynomial
         path = tmp_path / "spec.json"
@@ -260,6 +273,21 @@ class TestSearchCli:
         err = json.loads(captured.err)["error"]
         assert err["type"] == "InvalidInput"
         assert "i, ii, iii" in err["message"]
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_exits_2(self, capsys, cap):
+        rc = cli.main(["search", "1", "3", "--max-enum", cap])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "InvalidInput"
+
+    def test_negative_max_l_degree_exits_2(self, capsys):
+        rc = cli.main(["search", "1", "3", "--max-l-degree", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "InvalidInput"
+        assert "max_l_degree" in err["message"]
 
     @pytest.mark.parametrize("r, s", [("1", "-1"), ("-3", "1")])
     def test_nonpositive_length_exits_2(self, capsys, r, s):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (brute_span, counter_words, ideal_rows, naive_mul,
-                      random_code, random_poly)
+                      random_code, random_poly, span_size)
 from z4dc import code, f2poly as f2, linalg as la, z4poly as zp
 from z4dc.code import (
     CodeVector,
@@ -232,7 +232,7 @@ class TestCodeSize:
             size = code_size(c)
             words = {v.concat() for v in enumerate_codewords(c)}
             assert len(words) == size
-            assert la.span_size(la.howell(generator_matrix(c))) == size
+            assert span_size(la.howell(generator_matrix(c))) == size
 
     def test_minimality_iff_type_matches(self, rng):
         # The generating set is minimal exactly when the module type
@@ -246,13 +246,13 @@ class TestCodeSize:
             G = generator_matrix(c)
             if not G.rows:
                 continue
-            full = la.span_size(la.howell(G))
+            full = span_size(la.howell(G))
             doubled = la.MatZ4(tuple(tuple((2 * x) % 4 for x in row)
                                      for row in G.rows), G.ncols)
-            type_ok = (la.span_size(la.howell(doubled))
+            type_ok = (span_size(la.howell(doubled))
                        == 2 ** (c.r + c.s - c.t1 - c.r1))
             minimal = all(
-                la.span_size(la.howell(la.MatZ4(G.rows[:i] + G.rows[i + 1:],
+                span_size(la.howell(la.MatZ4(G.rows[:i] + G.rows[i + 1:],
                                                 G.ncols))) < full
                 for i in range(len(G.rows)))
             assert minimal == type_ok

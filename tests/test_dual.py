@@ -10,10 +10,12 @@ from conftest import (
     gcd_convention_faithful,
     projection_size,
     random_code,
+    span_size,
 )
 from z4dc import dual, linalg as la, z4poly as zp, f2poly as fp
 from z4dc.code import (
     CodeVector,
+    _generator_howell,
     code_size,
     from_spec_dict,
     generator_matrix,
@@ -136,13 +138,13 @@ class TestDualBruteForce:
     def test_full_space_dual_is_zero(self):
         c = validate(3, 3, f1=(1,), g1=(1,), f2=(1,), g2=(1,))
         K, rep = dual.dual_brute_force(c)
-        assert la.span_size(la.howell(K)) == 1
+        assert span_size(la.howell(K)) == 1
         assert code_size(rep.dual) == 1
 
     def test_reference_dual(self):
         c = pair_3_9()
         K, rep = dual.dual_brute_force(c)
-        assert la.span_size(la.howell(K)) == 4 ** 8
+        assert span_size(la.howell(K)) == 4 ** 8
         # the published dual generators (x^2-1 | x-1) span the kernel
         alt = validate(3, 9, l=parse("3x^2+1"), f2=parse("x+3"),
                        g2=parse("x+3"))
@@ -159,11 +161,26 @@ class TestDualBruteForce:
                             max_size=2 ** 16)
             K, rep = dual.dual_brute_force(c)
             h = la.howell(K)
-            assert code_size(c) * la.span_size(h) == 4 ** (c.r + c.s)
+            assert code_size(c) * span_size(h) == 4 ** (c.r + c.s)
             for row in K.rows:
                 v = shift_T(CodeVector(row[:c.r], row[c.r:]))
                 assert la.membership(h, v.concat())
-            assert code_size(rep.dual) == la.span_size(h)
+            assert code_size(rep.dual) == span_size(h)
+
+    def test_certified_dual_spans_the_kernel(self, rng):
+        """Oracle for the pairing certificate of the kernel route: over a
+        seeded population of all three cases, non-free codes included,
+        the extracted dual's Howell form equals the kernel's rows."""
+        cases = {"i": 0, "ii": 0, "iii": 0}
+        free = 0
+        for _ in range(300):
+            c = random_code(rng, max_size=2 ** 16)
+            K, rep = dual.dual_brute_force(c)
+            assert _generator_howell(rep.dual).matrix.rows == K.rows
+            cases[c.case] += 1
+            free += c.is_free
+        assert min(cases.values()) >= 20, cases
+        assert 20 <= free <= 280, free
 
     def test_double_dual(self, rng):
         for _ in range(60):

@@ -45,6 +45,17 @@ class TestForms:
         with pytest.raises(InvalidInput, match="i, ii, iii"):
             sm.search(1, 3, forms=forms)
 
+    def test_negative_max_l_degree_rejected(self):
+        with pytest.raises(InvalidInput, match="max_l_degree"):
+            list(sm.iter_candidates(1, 3, max_l_degree=-1))
+        assert list(sm.iter_candidates(1, 3, forms=("ii",), max_l_degree=0))
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_enum_cap_below_one_rejected(cap):
+    with pytest.raises(InvalidInput, match="enum_cap"):
+        sm.search(1, 3, enum_cap=cap)
+
 
 class TestSearch:
     def test_rediscovers_16_256_6(self):
