@@ -7,7 +7,8 @@ output once timing is excluded with --no-timing.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure (with a
 machine-readable error object naming the violated invariant), 3
-enumeration or dimension cap exceeded (--force lifts the caps).
+enumeration or dimension cap exceeded (--force lifts the caps), 4 a
+failed internal check, i.e. a bug in z4dc (same error object).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .dual import (
 from .errors import (
     DimensionCapExceeded,
     EnumerationCapExceeded,
+    InternalCheckFailed,
     InvalidInput,
     PolyParseError,
     Z4DCError,
@@ -287,6 +289,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (EnumerationCapExceeded, DimensionCapExceeded) as exc:
         return _error_exit(exc, 3)
+    except InternalCheckFailed as exc:
+        return _error_exit(exc, 4)
     except Z4DCError as exc:
         return _error_exit(exc, 2)
     except json.JSONDecodeError as exc:

@@ -2,7 +2,8 @@
 
 Every error raised on bad user input derives from Z4DCError; internal
 consistency failures (post-condition checks that can only trip on a bug)
-derive from InternalCheckFailed so callers can tell the two apart.
+derive from InternalCheckFailed so callers can tell the two apart: the
+CLI exits 4 on InternalCheckFailed and 2 (or 3 for a cap) on the rest.
 """
 
 

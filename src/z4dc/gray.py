@@ -3,18 +3,29 @@
 Symbol Lee weights over Z4 are 0, 1, 2, 1 for 0, 1, 2, 3; the Gray map
 sends 0, 1, 2, 3 to 00, 01, 11, 10 and is distance-preserving from Lee
 to Hamming (but not additive).  Minimum Lee distance equals minimum
-nonzero Lee weight because codes are Z4-linear, and is certified by
-exhaustive enumeration of codewords packed in 2-bit lanes (code.pack):
-the Lee weight of a codeword is the popcount of its Gray image words
-(gray_lanes).  Weight histograms are computed blockwise with 64-bit
-counters and merge associatively, so sharded runs reproduce the
-sequential histogram bit for bit.  Linearity of the Gray image is
-decided exactly, without enumeration, by the Z4-linearity criterion on
-pairs of generating rows.
+nonzero Lee weight because codes are Z4-linear.  The Lee enumerator is
+exact and takes one of two routes:
+
+- direct: exhaustive enumeration of codewords packed in 2-bit lanes
+  (code.pack), the Lee weight of a codeword being the popcount of its
+  Gray image words (gray_lanes);
+- through the dual, when C spans more than one enumeration block
+  (|C| > MAX_BLOCK) and C-perp is smaller (|C| > 2^(r+s), since
+  |C| * |C-perp| = 4^(r+s)): the certified dual of dual_report is
+  enumerated directly, and the binary MacWilliams transform of its Lee
+  histogram gives that of C, the Gray images of C and C-perp being
+  formally dual.  The transform runs on exact integers and is checked
+  (exact division by |C-perp|, no negative count, A_0 = 1, total |C|).
+
+Weight histograms are computed blockwise with 64-bit counters and merge
+associatively, so sharded runs reproduce the sequential histogram bit
+for bit.  Linearity of the Gray image is decided exactly, without
+enumeration, by the Z4-linearity criterion on pairs of generating rows.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,6 +35,7 @@ from .code import (
     BlockEnumerator,
     DEFAULT_ENUM_CAP,
     LO,
+    MAX_BLOCK,
     DoubleCyclicCode,
     code_size,
     contains,
@@ -31,7 +43,13 @@ from .code import (
     minimal_generating_set,
     unpack,
 )
-from .errors import DimensionMismatch, EnumerationCapExceeded, ZeroCode
+from .dual import dual_report
+from .errors import (
+    DimensionMismatch,
+    EnumerationCapExceeded,
+    InternalCheckFailed,
+    ZeroCode,
+)
 
 LEE_WEIGHTS = (0, 1, 2, 1)
 _GRAY_PAIRS = ((0, 0), (0, 1), (1, 1), (1, 0))
@@ -99,24 +117,80 @@ def _histogram_range(be: BlockEnumerator, lo: int, hi: int) -> np.ndarray:
     return acc
 
 
+def _lee_histogram(c: DoubleCyclicCode, jobs: int = 1) -> np.ndarray:
+    """Lee weight counts 0..2(r+s) over all codewords, by enumeration;
+    with jobs > 1 and at least 2*jobs blocks, contiguous block ranges
+    run on jobs threads."""
+    be = BlockEnumerator(c)
+    if jobs <= 1 or be.nblocks < 2 * jobs:
+        return _histogram_range(be, 0, be.nblocks)
+    bounds = [be.nblocks * i // jobs for i in range(jobs + 1)]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        parts = list(pool.map(lambda ab: _histogram_range(be, *ab),
+                              zip(bounds, bounds[1:])))
+    total = np.zeros(2 * be.ncols + 1, dtype=np.int64)
+    for part in parts:
+        total += part
+    return total
+
+
+@functools.lru_cache(maxsize=8)
+def _krawtchouk(N: int) -> tuple[tuple[int, ...], ...]:
+    """K[L][j] = [z^j] (1+z)^(N-L) (1-z)^L, row by row from K_0 = 1 and
+    K_1 = N - 2L by the three-term recurrence (j+1) K_(j+1) =
+    (N-2L) K_j - (N-j+1) K_(j-1) (MacWilliams and Sloane, *The Theory
+    of Error-Correcting Codes*, 1977, ch. 5), which divides exactly."""
+    rows = []
+    for L in range(N + 1):
+        row = [1, N - 2 * L]
+        for j in range(1, N):
+            row.append(((N - 2 * L) * row[j] - (N - j + 1) * row[j - 1]) // (j + 1))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _macwilliams(dual_hist, size: int) -> dict[int, int]:
+    """The Lee enumerator of a code of the given size from the Lee
+    histogram (weights 0..N) of its dual: A_j = |C-perp|^-1 *
+    sum_L B_L K[L][j], with |C-perp| = 2^N / size.  A sum that does not
+    divide exactly or is negative, A_0 != 1 or a total other than size
+    raises InternalCheckFailed."""
+    N = len(dual_hist) - 1
+    dual_size = (1 << N) // size
+    table = _krawtchouk(N)
+    terms = [(int(b), table[L]) for L, b in enumerate(dual_hist) if b]
+    counts = {}
+    for j in range(N + 1):
+        a, rem = divmod(sum(b * row[j] for b, row in terms), dual_size)
+        if rem or a < 0:
+            raise InternalCheckFailed(
+                f"MacWilliams transform gives A_{j} = {a} rem {rem} "
+                f"over |C-perp| = {dual_size}")
+        if a:
+            counts[j] = a
+    if counts.get(0) != 1 or sum(counts.values()) != size:
+        raise InternalCheckFailed(
+            f"MacWilliams transform gives A_0 = {counts.get(0, 0)} and "
+            f"{sum(counts.values())} codewords, not 1 and {size}")
+    return counts
+
+
 def lee_enumerator(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
                    jobs: int = 1) -> LeeEnumerator:
-    """Exact Lee weight histogram over all codewords."""
+    """Exact Lee weight histogram over all codewords.
+
+    cap bounds |C| on either route.  A code of more than one block with
+    |C| > 2^(r+s) enumerates its smaller dual and transforms (module
+    docstring); every other code is enumerated directly.
+    """
     size = code_size(c)
     if size > cap:
         raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
-    be = BlockEnumerator(c)
-    if jobs <= 1 or be.nblocks < 2 * jobs:
-        total = _histogram_range(be, 0, be.nblocks)
-    else:
-        bounds = [be.nblocks * i // jobs for i in range(jobs + 1)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda ab: _histogram_range(be, *ab),
-                                  zip(bounds, bounds[1:])))
-        total = np.zeros(2 * be.ncols + 1, dtype=np.int64)
-        for part in parts:
-            total += part
-    return LeeEnumerator({w: int(n) for w, n in enumerate(total) if n})
+    if size > MAX_BLOCK and size > 1 << (c.r + c.s):
+        dual_hist = _lee_histogram(dual_report(c).dual, jobs)
+        return LeeEnumerator(_macwilliams(dual_hist, size))
+    hist = _lee_histogram(c, jobs)
+    return LeeEnumerator({w: int(n) for w, n in enumerate(hist) if n})
 
 
 def min_lee_distance(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,

@@ -20,7 +20,7 @@ from .code import (
     spec_dict,
     validate,
 )
-from .errors import InvalidInput, LatticeTooLarge, Z4DCError
+from .errors import InternalCheckFailed, InvalidInput, LatticeTooLarge, Z4DCError
 from .gray import lee_enumerator
 from .z4poly import Poly, ZERO, canon, degree, divides, hensel_lift, mul, xn_minus_1
 
@@ -143,7 +143,8 @@ def search(r: int, s: int, forms=FORMS,
     pareto is set, pruned to the best d per M class and best M per d
     class.  Candidates whose size exceeds enum_cap are skipped with a
     notice.  Every stored result re-validates from its serialized spec
-    and reproduces its recorded parameters.
+    and reproduces its recorded parameters, or InternalCheckFailed is
+    raised.
     """
     if enum_cap < 1:
         raise InvalidInput(f"enum_cap must be at least 1, got {enum_cap}")
@@ -185,8 +186,8 @@ def search(r: int, s: int, forms=FORMS,
         check = from_spec_dict(sd)
         redo = lee_enumerator(check, cap=enum_cap).min_nonzero_weight()
         if (code_size(check), redo) != (m, d):
-            raise AssertionError(f"result {sd} does not re-evaluate to "
-                                 f"({m}, {d})")
+            raise InternalCheckFailed(f"result {sd} does not re-evaluate "
+                                      f"to ({m}, {d})")
         results.append(res)
     return SearchReport(results=results, candidates_evaluated=evaluated,
                         candidates_skipped=skipped, notices=notices)

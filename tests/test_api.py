@@ -1,4 +1,5 @@
-"""The package's public name list, and no dead imports in its modules."""
+"""The package's public name list, and no dead imports or bare asserts
+in its modules."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import z4dc
 
-MODULES = sorted(p for p in Path(z4dc.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(z4dc.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def test_every_exported_name_resolves():
@@ -38,3 +39,30 @@ def test_unused_import_check_flags_a_dead_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def bare_asserts(source: str) -> list[int]:
+    """Lines of the assert statements and raised AssertionErrors of a
+    module: asserts vanish under python -O, and neither is a Z4DCError,
+    so a failed check must raise InternalCheckFailed instead."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_bare_assert_check_flags_a_planted_one():
+    source = ("def f(x):\n    assert x\n    if x > 1:\n"
+              "        raise AssertionError('x')\n    raise AssertionError\n"
+              "    raise ValueError('assert')\n")
+    assert bare_asserts(source) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_bare_asserts(path):
+    assert bare_asserts(path.read_text(encoding="utf-8")) == []

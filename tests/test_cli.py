@@ -2,10 +2,13 @@
 verify-examples harness (including a mutation sanity check)."""
 
 import json
+import random
 
 import pytest
 
+from conftest import shaped_code
 from z4dc import cli, code, gray
+from z4dc.code import spec_dict
 import numpy as np
 
 
@@ -194,6 +197,24 @@ class TestVerifyExamples:
         rc = cli.main(["verify-examples", "--only", "1"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestInternalCheckExit:
+    def test_failed_post_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        # 2^18 words with r+s = 16: the enumerator goes through the dual,
+        # and a Krawtchouk table shifted by one row fails its post-check
+        c = shaped_code(random.Random(7), 1, 15, max_bits=18, min_bits=18)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_dict(c)))
+        table = gray._krawtchouk(32)
+        monkeypatch.setattr(gray, "_krawtchouk",
+                            lambda N: table[1:] + ((0,) * 33,))
+        rc = cli.main(["analyze", str(path), "--no-timing"])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "InternalCheckFailed"
+        assert "MacWilliams" in err["message"]
 
 
 class TestInputContract:

@@ -1,6 +1,8 @@
 """Lee metric, Gray map, enumerators, and Gray-image parameters."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +14,15 @@ from conftest import (
     gray_image_words,
     gray_inverse,
     random_code,
+    shaped_code,
 )
-from z4dc import gray, z4poly
+from z4dc import code, gray, z4poly
 from z4dc.code import code_size, contains, from_concat, validate
+from z4dc.dual import dual_report
 from z4dc.errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
+    InternalCheckFailed,
     Z4DCError,
     ZeroCode,
 )
@@ -114,6 +119,87 @@ class TestLeeEnumerator:
             enum = gray.lee_enumerator(c)
             assert gray.min_lee_distance(c) == \
                 min(w for w in enum.counts if w > 0)
+
+
+def direct_counts(c, jobs=1):
+    """The Lee enumerator of c by enumerating c itself."""
+    return {w: int(n) for w, n in enumerate(gray._lee_histogram(c, jobs)) if n}
+
+
+class TestMacWilliamsRoute:
+    """Codes of more than one block whose dual is smaller are counted
+    through the dual; direct enumeration of the code is the oracle."""
+
+    # r+s <= 16, so every code of 2^17 words or more has the smaller dual
+    SHAPES = ((1, 15), (15, 1), (3, 13), (13, 3), (7, 9), (9, 7),
+              (5, 11), (11, 5), (3, 9), (9, 3))
+
+    def test_population_matches_direct_enumeration(self):
+        rnd = random.Random(2026)
+        kinds = Counter()
+        for _ in range(120):
+            c = shaped_code(rnd, *rnd.choice(self.SHAPES), max_bits=20,
+                            min_bits=17)
+            kinds[c.case, c.is_free] += 1
+            assert gray.lee_enumerator(c).counts == direct_counts(c)
+        assert set(kinds) == set(itertools.product(("i", "ii", "iii"),
+                                                   (True, False)))
+
+    def test_transform_of_the_dual_histogram_on_small_codes(self, rng):
+        sides = Counter()
+        for _ in range(150):
+            c = random_code(rng, max_size=2 ** 12)
+            size = code_size(c)
+            sides[(size > 2 ** (c.r + c.s)) - (size < 2 ** (c.r + c.s))] += 1
+            dual_hist = gray._lee_histogram(dual_report(c).dual)
+            assert gray._macwilliams(dual_hist, size) == direct_counts(c)
+        assert set(sides) == {-1, 0, 1}
+
+    def test_krawtchouk_table_is_the_product_expansion(self):
+        for N in (2, 8, 33):
+            for L, row in enumerate(gray._krawtchouk(N)):
+                poly = [1]
+                for factor in [(1, 1)] * (N - L) + [(1, -1)] * L:
+                    poly = [a + factor[1] * b for a, b in zip(poly + [0], [0] + poly)]
+                assert list(row) == poly
+
+    def test_sharded_dual_is_bit_identical(self):
+        # |C| = 2^22 with r+s = 20: the dual has 2^18 words, four blocks
+        c = shaped_code(random.Random(5), 5, 15, max_bits=22, min_bits=22)
+        d = dual_report(c).dual
+        assert code_size(d) == 2 ** 18 and code.BlockEnumerator(d).nblocks >= 4
+        assert gray.lee_enumerator(c, jobs=2) == gray.lee_enumerator(c, jobs=1)
+        assert gray.lee_enumerator(c).total() == 2 ** 22
+
+    @pytest.mark.parametrize("shape, bits, through_dual", [
+        ((1, 15), 18, True),    # 2^18 > 2^16 words, dual of 2^14
+        ((3, 15), 18, False),   # a tie: |C| = |C-perp| = 2^18
+        ((1, 7), 14, False),    # dual of 2^2 words, but C is one block
+    ])
+    def test_routing(self, shape, bits, through_dual, monkeypatch):
+        c = shaped_code(random.Random(7), *shape, max_bits=bits, min_bits=bits)
+        built = []
+        init = code.BlockEnumerator.__init__
+
+        def counting_init(self, enumerated, *args, **kwargs):
+            built.append(enumerated)
+            init(self, enumerated, *args, **kwargs)
+
+        monkeypatch.setattr(code.BlockEnumerator, "__init__", counting_init)
+        gray.lee_enumerator(c)
+        assert built == [dual_report(c).dual if through_dual else c]
+
+    def test_cap_is_checked_against_the_code(self):
+        c = shaped_code(random.Random(7), 1, 15, max_bits=18, min_bits=18)
+        with pytest.raises(EnumerationCapExceeded):
+            gray.lee_enumerator(c, cap=2 ** 17)
+
+    def test_post_check_rejects_a_wrong_dual_histogram(self):
+        c = shaped_code(random.Random(7), 1, 15, max_bits=18, min_bits=18)
+        dual_hist = gray._lee_histogram(dual_report(c).dual)
+        dual_hist[2] += 1
+        with pytest.raises(InternalCheckFailed):
+            gray._macwilliams(dual_hist, code_size(c))
 
 
 class TestGrayImageParams:

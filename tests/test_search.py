@@ -7,8 +7,8 @@ import pytest
 
 from z4dc import search as sm, z4poly as zp
 from z4dc.code import code_size, from_spec_dict, validate
-from z4dc.errors import InvalidInput, LatticeTooLarge, Z4DCError
-from z4dc.gray import lee_enumerator
+from z4dc.errors import InternalCheckFailed, InvalidInput, LatticeTooLarge, Z4DCError
+from z4dc.gray import LeeEnumerator, lee_enumerator
 from z4dc.polytext import parse
 
 
@@ -83,6 +83,24 @@ class TestSearch:
         for M, d in kept:
             assert d == max(r.d for r in full.results if r.M == M)or \
                 M == max(r.M for r in full.results if r.d == d)
+
+    def test_result_that_does_not_re_evaluate_raises(self, monkeypatch):
+        # truthful while candidates are scored, one weight off on the
+        # re-check of each stored result
+        evaluated = sm.search(1, 3).candidates_evaluated
+        calls = []
+
+        def drifting(c, *args, **kwargs):
+            calls.append(c)
+            enum = lee_enumerator(c, *args, **kwargs)
+            if len(calls) <= evaluated:
+                return enum
+            return LeeEnumerator({w + (w > 0): n for w, n in enum.counts.items()})
+
+        monkeypatch.setattr(sm, "lee_enumerator", drifting)
+        with pytest.raises(InternalCheckFailed, match="does not re-evaluate"):
+            sm.search(1, 3)
+        assert len(calls) == evaluated + 1
 
     def test_distance_floor(self):
         rep = sm.search(1, 7, forms=("ii",), distance_floor=6)
