@@ -69,7 +69,6 @@ from .z4poly import (
 )
 
 DEFAULT_ENUM_CAP = 1 << 26
-MAX_BLOCK = 1 << 16  # codewords per BlockEnumerator block
 LO = np.uint64(0x5555555555555555)  # the low bit of every 2-bit lane
 
 
@@ -433,7 +432,7 @@ class BlockEnumerator:
     become one offset word vector that each block adds to the table.
     """
 
-    def __init__(self, c: DoubleCyclicCode, max_block: int = MAX_BLOCK):
+    def __init__(self, c: DoubleCyclicCode, max_block: int = 1 << 16):
         rows, radices = enumeration_basis(c)
         n = c.r + c.s
         split = len(radices)

@@ -9,9 +9,10 @@ exact and takes one of two routes:
 - direct: exhaustive enumeration of codewords packed in 2-bit lanes
   (code.pack), the Lee weight of a codeword being the popcount of its
   Gray image words (gray_lanes);
-- through the dual, when C spans more than one enumeration block
-  (|C| > MAX_BLOCK) and C-perp is smaller (|C| > 2^(r+s), since
-  |C| * |C-perp| = 4^(r+s)): the certified dual of dual_report is
+- through the dual, when C-perp is smaller (|C| > 2^(r+s), since
+  |C| * |C-perp| = 4^(r+s)) and C has more than DIRECT_MAX = 2^14
+  words, below which one table build costs less than the pure-Python
+  dual (about 1 ms a code): the certified dual of dual_report is
   enumerated directly, and the binary MacWilliams transform of its Lee
   histogram gives that of C, the Gray images of C and C-perp being
   formally dual.  The transform runs on exact integers and is checked
@@ -35,7 +36,6 @@ from .code import (
     BlockEnumerator,
     DEFAULT_ENUM_CAP,
     LO,
-    MAX_BLOCK,
     DoubleCyclicCode,
     code_size,
     contains,
@@ -52,6 +52,7 @@ from .errors import (
 )
 
 LEE_WEIGHTS = (0, 1, 2, 1)
+DIRECT_MAX = 1 << 14  # larger codes with a smaller dual go through it
 _GRAY_PAIRS = ((0, 0), (0, 1), (1, 1), (1, 0))
 
 
@@ -179,14 +180,14 @@ def lee_enumerator(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
                    jobs: int = 1) -> LeeEnumerator:
     """Exact Lee weight histogram over all codewords.
 
-    cap bounds |C| on either route.  A code of more than one block with
-    |C| > 2^(r+s) enumerates its smaller dual and transforms (module
-    docstring); every other code is enumerated directly.
+    cap bounds |C| on either route.  A code of more than DIRECT_MAX
+    words with |C| > 2^(r+s) enumerates its smaller dual and transforms
+    (module docstring); every other code is enumerated directly.
     """
     size = code_size(c)
     if size > cap:
         raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
-    if size > MAX_BLOCK and size > 1 << (c.r + c.s):
+    if size > DIRECT_MAX and size > 1 << (c.r + c.s):
         dual_hist = _lee_histogram(dual_report(c).dual, jobs)
         return LeeEnumerator(_macwilliams(dual_hist, size))
     hist = _lee_histogram(c, jobs)

@@ -127,21 +127,29 @@ def direct_counts(c, jobs=1):
 
 
 class TestMacWilliamsRoute:
-    """Codes of more than one block whose dual is smaller are counted
-    through the dual; direct enumeration of the code is the oracle."""
+    """Codes of more than DIRECT_MAX words whose dual is smaller are
+    counted through the dual; direct enumeration of the code is the
+    oracle."""
 
-    # r+s <= 16, so every code of 2^17 words or more has the smaller dual
-    SHAPES = ((1, 15), (15, 1), (3, 13), (13, 3), (7, 9), (9, 7),
-              (5, 11), (11, 5), (3, 9), (9, 3))
+    # (shapes, min_bits, max_bits, draws): r+s <= 16, so every code of
+    # 2^17 words or more has the smaller dual; r+s <= 12, so every code
+    # of 2^15 or 2^16 words has it too and exceeds DIRECT_MAX
+    POPULATIONS = (
+        (((1, 15), (15, 1), (3, 13), (13, 3), (7, 9), (9, 7), (5, 11),
+          (11, 5), (3, 9), (9, 3)), 17, 20, 120),
+        (((1, 7), (7, 1), (3, 9), (9, 3), (5, 7), (7, 5), (1, 9), (9, 1),
+          (3, 7), (5, 5)), 15, 16, 60),
+    )
 
     def test_population_matches_direct_enumeration(self):
         rnd = random.Random(2026)
         kinds = Counter()
-        for _ in range(120):
-            c = shaped_code(rnd, *rnd.choice(self.SHAPES), max_bits=20,
-                            min_bits=17)
-            kinds[c.case, c.is_free] += 1
-            assert gray.lee_enumerator(c).counts == direct_counts(c)
+        for shapes, min_bits, max_bits, draws in self.POPULATIONS:
+            for _ in range(draws):
+                c = shaped_code(rnd, *rnd.choice(shapes), max_bits=max_bits,
+                                min_bits=min_bits)
+                kinds[c.case, c.is_free] += 1
+                assert gray.lee_enumerator(c).counts == direct_counts(c)
         assert set(kinds) == set(itertools.product(("i", "ii", "iii"),
                                                    (True, False)))
 
@@ -172,9 +180,10 @@ class TestMacWilliamsRoute:
         assert gray.lee_enumerator(c).total() == 2 ** 22
 
     @pytest.mark.parametrize("shape, bits, through_dual", [
-        ((1, 15), 18, True),    # 2^18 > 2^16 words, dual of 2^14
+        ((1, 15), 18, True),    # 2^18 words, dual of 2^14
         ((3, 15), 18, False),   # a tie: |C| = |C-perp| = 2^18
-        ((1, 7), 14, False),    # dual of 2^2 words, but C is one block
+        ((1, 7), 14, False),    # dual of 2^2 words, but only DIRECT_MAX words
+        ((3, 9), 15, True),     # 2^15 > DIRECT_MAX words, dual of 2^9
     ])
     def test_routing(self, shape, bits, through_dual, monkeypatch):
         c = shaped_code(random.Random(7), *shape, max_bits=bits, min_bits=bits)
