@@ -168,9 +168,11 @@ def cmd_verify_examples(args) -> int:
     cap = UNCAPPED if args.force else args.max_enum
     failures = 0
     rows = []
-    for case in REFERENCE_CASES:
-        if args.only is not None and case["id"] != args.only:
-            continue
+    cases = [case for case in REFERENCE_CASES if args.only in (None, case["id"])]
+    if not cases:
+        raise InvalidInput(f"--only {args.only} names no reference case; the ids "
+                           f"are {[case['id'] for case in REFERENCE_CASES]}")
+    for case in cases:
         for claim, expected, got in _claims_for_case(case, cap, args.jobs):
             ok = expected == got
             failures += not ok

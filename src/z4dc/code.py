@@ -346,8 +346,7 @@ def minimal_generating_set(c: DoubleCyclicCode) -> list[tuple[CodeVector, int]]:
 
 
 def generator_matrix(c: DoubleCyclicCode) -> linalg.MatZ4:
-    rows = tuple(v.concat() for v, _ in minimal_generating_set(c))
-    return linalg.MatZ4(rows, c.r + c.s)
+    return linalg.MatZ4(enumeration_basis(c)[0], c.r + c.s)
 
 
 def code_size(c: DoubleCyclicCode) -> int:
@@ -375,9 +374,7 @@ def contains(c: DoubleCyclicCode, v: CodeVector) -> bool:
 def enumeration_basis(c: DoubleCyclicCode):
     """Generating rows with their digit radices, in counter order."""
     gens = minimal_generating_set(c)
-    rows = tuple(v.concat() for v, _ in gens)
-    radices = tuple(order for _, order in gens)
-    return rows, radices
+    return tuple(v.concat() for v, _ in gens), tuple(radix for _, radix in gens)
 
 
 def pack(vectors, n: int) -> np.ndarray:
@@ -413,9 +410,8 @@ def enumerate_codewords(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
     size = code_size(c)
     if size > cap:
         raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
-    if stop is None:
-        stop = size
-    be = BlockEnumerator(c)
+    stop = size if stop is None else stop
+    be = BlockEnumerator(*enumeration_basis(c), c.r + c.s)
     for h in range(start // be.block_size, -(-stop // be.block_size)):
         lo = h * be.block_size
         for v in unpack(be.block(h), be.ncols)[max(start - lo, 0):stop - lo].tolist():
@@ -423,29 +419,28 @@ def enumerate_codewords(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
 
 
 class BlockEnumerator:
-    """The enumeration order in contiguous blocks of packed codewords.
-
-    Block h holds the codewords with indices [h*block_size,
-    (h+1)*block_size) as one (block_size, nwords) uint64 array in the
-    lanes of pack, nwords = ceil((r+s)/32).  The trailing digits are a
-    table built once by lane-wise addition; the leading digits of h
-    become one offset word vector that each block adds to the table.
+    """The words sum d_i * rows[i], 0 <= d_i < radices[i], in counter
+    order (last digit least significant), in contiguous blocks: block h
+    holds indices [h*block_size, (h+1)*block_size) as one (block_size,
+    nwords) uint64 array in the lanes of pack, nwords = ceil(ncols/32).
+    The basis is enumeration_basis of a code, or Howell rows with radix
+    4 // pivot.  The trailing digits are a table built once by lane-wise
+    addition; the leading digits of h become one offset word vector
+    that each block adds to the table.
     """
 
-    def __init__(self, c: DoubleCyclicCode, max_block: int = 1 << 16):
-        rows, radices = enumeration_basis(c)
-        n = c.r + c.s
+    def __init__(self, rows, radices, ncols: int, max_block: int = 1 << 16):
         split = len(radices)
         width = 1
         while split > 0 and width * radices[split - 1] <= max_block:
             width *= radices[split - 1]
             split -= 1
-        self.ncols = n
-        self.nwords = -(-n // 32)
+        self.ncols = ncols
+        self.nwords = -(-ncols // 32)
         self.block_size = width
         self.nblocks = math.prod(radices[:split])
         # multiples[i][d] is d times row i, packed
-        multiples = [pack([[d * x for x in row] for d in range(rad)], n)
+        multiples = [pack([[d * x for x in row] for d in range(rad)], ncols)
                      for row, rad in zip(rows, radices)]
         self._high = multiples[:split]
         table = np.zeros((1, self.nwords), dtype=np.uint64)

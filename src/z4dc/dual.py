@@ -28,6 +28,7 @@ from .code import (
     generator_matrix,
     poly_to_vec,
     shift_T,
+    spec_dict,
     validate,
 )
 from .errors import (
@@ -140,8 +141,6 @@ class DualReport:
 
         out = {"method": self.method}
         if self.dual is not None:
-            from .code import spec_dict
-
             out["dual"] = spec_dict(self.dual)
             out["dual_size"] = code_size(self.dual)
         out.update({"F1_hat_star": p(self.F1_hat_star),

@@ -11,12 +11,12 @@ exact and takes one of two routes:
   Gray image words (gray_lanes);
 - through the dual, when C-perp is smaller (|C| > 2^(r+s), since
   |C| * |C-perp| = 4^(r+s)) and C has more than DIRECT_MAX = 2^14
-  words, below which one table build costs less than the pure-Python
-  dual (about 1 ms a code): the certified dual of dual_report is
-  enumerated directly, and the binary MacWilliams transform of its Lee
-  histogram gives that of C, the Gray images of C and C-perp being
-  formally dual.  The transform runs on exact integers and is checked
-  (exact division by |C-perp|, no negative count, A_0 = 1, total |C|).
+  words: the Howell rows of the exact kernel of the generator matrix,
+  C-perp, are enumerated with radix 4 // pivot each (Howell 1986;
+  Storjohann 2000), their words must number 4^(r+s) / |C|, and the
+  binary MacWilliams transform of their Lee histogram, on exact and
+  checked integers, gives that of C, the Gray images of C and C-perp
+  being formally dual.
 
 Weight histograms are computed blockwise with 64-bit counters and merge
 associatively, so sharded runs reproduce the sequential histogram bit
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .code import (
     BlockEnumerator,
     DEFAULT_ENUM_CAP,
@@ -39,11 +40,11 @@ from .code import (
     DoubleCyclicCode,
     code_size,
     contains,
+    enumeration_basis,
     from_concat,
-    minimal_generating_set,
+    generator_matrix,
     unpack,
 )
-from .dual import dual_report
 from .errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
@@ -118,21 +119,17 @@ def _histogram_range(be: BlockEnumerator, lo: int, hi: int) -> np.ndarray:
     return acc
 
 
-def _lee_histogram(c: DoubleCyclicCode, jobs: int = 1) -> np.ndarray:
-    """Lee weight counts 0..2(r+s) over all codewords, by enumeration;
-    with jobs > 1 and at least 2*jobs blocks, contiguous block ranges
-    run on jobs threads."""
-    be = BlockEnumerator(c)
+def _lee_histogram(rows, radices, ncols: int, jobs: int = 1) -> np.ndarray:
+    """Lee weight counts 0..2*ncols over the span of a BlockEnumerator
+    basis, by enumeration; with jobs > 1 and at least 2*jobs blocks,
+    contiguous block ranges run on jobs threads."""
+    be = BlockEnumerator(rows, radices, ncols)
     if jobs <= 1 or be.nblocks < 2 * jobs:
         return _histogram_range(be, 0, be.nblocks)
     bounds = [be.nblocks * i // jobs for i in range(jobs + 1)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(lambda ab: _histogram_range(be, *ab),
-                              zip(bounds, bounds[1:])))
-    total = np.zeros(2 * be.ncols + 1, dtype=np.int64)
-    for part in parts:
-        total += part
-    return total
+        return sum(pool.map(lambda ab: _histogram_range(be, *ab),
+                            zip(bounds, bounds[1:])))
 
 
 @functools.lru_cache(maxsize=8)
@@ -181,17 +178,23 @@ def lee_enumerator(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
     """Exact Lee weight histogram over all codewords.
 
     cap bounds |C| on either route.  A code of more than DIRECT_MAX
-    words with |C| > 2^(r+s) enumerates its smaller dual and transforms
-    (module docstring); every other code is enumerated directly.
+    words with |C| > 2^(r+s) enumerates its kernel, C-perp, and
+    transforms (module docstring); every other code is enumerated directly.
     """
     size = code_size(c)
     if size > cap:
         raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
-    if size > DIRECT_MAX and size > 1 << (c.r + c.s):
-        dual_hist = _lee_histogram(dual_report(c).dual, jobs)
+    n = c.r + c.s
+    if size > DIRECT_MAX and size > 1 << n:
+        kernel = linalg.kernel(generator_matrix(c)).rows
+        radices = tuple(4 // next(filter(None, row)) for row in kernel)
+        dual_hist = _lee_histogram(kernel, radices, n, jobs)
+        if int(dual_hist.sum()) * size != 4 ** n:
+            raise InternalCheckFailed(
+                f"the kernel spans {dual_hist.sum()} words, not 4^{n} / {size}")
         return LeeEnumerator(_macwilliams(dual_hist, size))
-    hist = _lee_histogram(c, jobs)
-    return LeeEnumerator({w: int(n) for w, n in enumerate(hist) if n})
+    hist = _lee_histogram(*enumeration_basis(c), n, jobs)
+    return LeeEnumerator({w: int(k) for w, k in enumerate(hist) if k})
 
 
 def min_lee_distance(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
@@ -232,8 +235,7 @@ def image_params(c: DoubleCyclicCode, enum: LeeEnumerator) -> GrayImageParams:
     """
     M = code_size(c)
     d = enum.min_nonzero_weight() if M > 1 else None
-    rows = [w for w in (v.concat() for v, _ in minimal_generating_set(c))
-            if any(a & 1 for a in w)]
+    rows = [w for w in enumeration_basis(c)[0] if any(a & 1 for a in w)]
     for i, g in enumerate(rows):
         for h in rows[:i]:
             w = tuple(2 * (a & b & 1) for a, b in zip(g, h))
@@ -255,7 +257,7 @@ def gray_words(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP):
     size = code_size(c)
     if size > cap:
         raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
-    be = BlockEnumerator(c)
+    be = BlockEnumerator(*enumeration_basis(c), c.r + c.s)
     for h in range(be.nblocks):
         pairs = unpack(gray_lanes(be.block(h)), be.ncols)
         chars = np.stack((pairs >> 1, pairs & 1), axis=2) + ord("0")

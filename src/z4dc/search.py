@@ -155,6 +155,8 @@ def search(r: int, s: int, forms=FORMS,
                                 lattice_bound=lattice_bound):
         try:
             c = validate(**cand)
+        except InternalCheckFailed:
+            raise
         except Z4DCError:
             continue
         size = code_size(c)

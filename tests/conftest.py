@@ -151,6 +151,13 @@ def counter_words(c):
             pos -= 1
 
 
+def code_engine(c, **kwargs):
+    """The BlockEnumerator over the enumeration basis of c."""
+    from z4dc.code import BlockEnumerator, enumeration_basis
+
+    return BlockEnumerator(*enumeration_basis(c), c.r + c.s, **kwargs)
+
+
 def gray_image_is_linear(words):
     """Exhaustive closure oracle: a set of binary words containing 0 is
     linear iff its F2 span has no more elements than the set."""

@@ -1,7 +1,8 @@
-"""The package's public name list, and no dead imports or bare asserts
-in its modules."""
+"""The package's public name list, its acyclic module graph, and no
+dead imports or bare asserts in its modules."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,55 @@ def test_bare_assert_check_flags_a_planted_one():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_bare_asserts(path):
     assert bare_asserts(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str, modules) -> set[str]:
+    """The sibling modules that a module imports, at any depth (function
+    level included): ``from . import x``, ``from .x import y`` and their
+    absolute ``z4dc`` forms."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base.split(".")[0] != "z4dc":
+                    continue
+                base = base[len("z4dc"):].lstrip(".")
+            found.update([base.split(".")[0]] if base else
+                         [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("z4dc."))
+    return found & set(modules)
+
+
+def import_graph() -> dict[str, set[str]]:
+    stems = [p.stem for p in MODULES]
+    return {p.stem: package_imports(p.read_text(encoding="utf-8"), stems)
+            for p in MODULES}
+
+
+def test_import_graph_reads_every_import_form():
+    source = ("from __future__ import annotations\nimport os\n"
+              "from . import gray, os\nfrom .code import x\n"
+              "import z4dc.linalg\nfrom z4dc.f2poly import y\n"
+              "def f():\n    from .dual import z\n")
+    assert package_imports(source, ["code", "dual", "f2poly", "gray", "linalg"]) \
+        == {"code", "dual", "f2poly", "gray", "linalg"}
+
+
+def test_import_graph_is_acyclic():
+    # static_order raises graphlib.CycleError, naming the cycle
+    assert len(list(graphlib.TopologicalSorter(import_graph()).static_order())) \
+        == len(MODULES)
+
+
+@pytest.mark.parametrize("module", ["code", "gray"])
+def test_enumeration_layers_reach_neither_dual_nor_search(module):
+    graph = import_graph()
+    reached, todo = set(), [module]
+    while todo:
+        for dep in graph[todo.pop()] - reached:
+            reached.add(dep)
+            todo.append(dep)
+    assert not reached & {"dual", "search"}

@@ -7,8 +7,9 @@ import random
 import pytest
 
 from conftest import shaped_code
-from z4dc import cli, code, gray
+from z4dc import cli, code, gray, search
 from z4dc.code import spec_dict
+from z4dc.errors import InternalCheckFailed
 import numpy as np
 
 
@@ -184,6 +185,15 @@ class TestVerifyExamples:
         enum_rows = [r for r in rows if r["claim"] == "lee_enumerator"]
         assert enum_rows and enum_rows[0]["enumerator_reading"] == "counts-only"
 
+    @pytest.mark.parametrize("only", ["0", "9"])
+    def test_unknown_case_exits_2(self, capsys, only):
+        rc = cli.main(["verify-examples", "--only", only])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "InvalidInput"
+        assert "[1, 2, 3, 4, 5]" in err["message"]
+
     def test_mutated_lee_table_fails(self, capsys, monkeypatch):
         # mutation sanity: an off-by-one Lee kernel (symbol 3 weighing 2,
         # one lane (1, 1) counted once more) must flip case 1 to FAIL
@@ -215,6 +225,18 @@ class TestInternalCheckExit:
         err = json.loads(captured.err)["error"]
         assert err["type"] == "InternalCheckFailed"
         assert "MacWilliams" in err["message"]
+
+
+    def test_failed_check_in_search_validate_exits_4(self, capsys, monkeypatch):
+        def broken(**spec):
+            raise InternalCheckFailed("planted")
+
+        monkeypatch.setattr(search, "validate", broken)
+        rc = cli.main(["search", "1", "3"])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["type"], err["message"]) == ("InternalCheckFailed", "planted")
 
 
 class TestInputContract:

@@ -4,8 +4,8 @@ ideal canonicalization."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (brute_span, counter_words, ideal_rows, naive_mul,
-                      random_code, random_poly, span_size)
+from conftest import (brute_span, code_engine, counter_words, ideal_rows,
+                      naive_mul, random_code, random_poly, span_size)
 from z4dc import code, f2poly as f2, linalg as la, z4poly as zp
 from z4dc.code import (
     CodeVector,
@@ -290,7 +290,7 @@ class TestEnumeration:
 
     def test_block_enumerator_bit_identical(self):
         c = kerdock()
-        be = code.BlockEnumerator(c, max_block=32)
+        be = code_engine(c, max_block=32)
         flat = []
         for h in range(be.nblocks):
             flat.extend(map(tuple, code.unpack(be.block(h), c.r + c.s).tolist()))

@@ -12,7 +12,7 @@ from itertools import islice
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import counter_words, shaped_code
+from conftest import code_engine, counter_words, shaped_code
 from z4dc import code, gray
 
 WIDTHS = (31, 32, 33, 64, 65, 66)
@@ -49,7 +49,7 @@ def test_lane_primitives_match_symbolwise_arithmetic(case):
        st.sampled_from(MAX_BLOCKS))
 def test_decoded_blocks_follow_the_counter_order(rnd, shape, max_block):
     c = shaped_code(rnd, *shape, max_bits=10)
-    be = code.BlockEnumerator(c, max_block=max_block)
+    be = code_engine(c, max_block=max_block)
     decoded = []
     for h in range(be.nblocks):
         block = be.block(h)
@@ -74,7 +74,7 @@ def test_sharded_histogram_equals_sequential(rnd, shape):
     # at least 2^18 words, so the default 2^16-word blocks number >= 4
     # and two jobs really split the range
     c = shaped_code(rnd, *shape, max_bits=19, min_bits=18)
-    assert code.BlockEnumerator(c).nblocks >= 4
+    assert code_engine(c).nblocks >= 4
     assert gray.lee_enumerator(c, jobs=2) == gray.lee_enumerator(c, jobs=1)
 
 
@@ -82,7 +82,7 @@ def test_enumeration_windows_cross_block_boundaries():
     # 2^17 words span several blocks of at most 2^16 words, and 65536
     # is a block boundary whatever the block size
     c = shaped_code(random.Random(3), 1, 31, max_bits=17, min_bits=17)
-    assert code.BlockEnumerator(c).nblocks >= 2
+    assert code_engine(c).nblocks >= 2
     oracle = list(islice(counter_words(c), 70000))
     for start, stop in ((0, 3), (65530, 65545), (65536, 65536), (65000, 70000)):
         words = [v.concat() for v in code.enumerate_codewords(c, start=start, stop=stop)]

@@ -16,7 +16,7 @@ from conftest import (
     random_code,
     shaped_code,
 )
-from z4dc import code, gray, z4poly
+from z4dc import code, dual, gray, linalg, z4poly
 from z4dc.code import code_size, contains, from_concat, validate
 from z4dc.dual import dual_report
 from z4dc.errors import (
@@ -27,6 +27,7 @@ from z4dc.errors import (
     ZeroCode,
 )
 from z4dc.polytext import parse
+from z4dc.search import search
 
 
 def kerdock():
@@ -121,15 +122,39 @@ class TestLeeEnumerator:
                 min(w for w in enum.counts if w > 0)
 
 
+def histogram(c, jobs=1):
+    """The Lee histogram of c by enumerating c itself."""
+    return gray._lee_histogram(*code.enumeration_basis(c), c.r + c.s, jobs)
+
+
 def direct_counts(c, jobs=1):
     """The Lee enumerator of c by enumerating c itself."""
-    return {w: int(n) for w, n in enumerate(gray._lee_histogram(c, jobs)) if n}
+    return {w: int(n) for w, n in enumerate(histogram(c, jobs)) if n}
+
+
+def kernel_rows(c):
+    return linalg.kernel(code.generator_matrix(c)).rows
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Every BlockEnumerator built while the test runs, as (rows,
+    radices, engine)."""
+    built = []
+    init = code.BlockEnumerator.__init__
+
+    def recording_init(self, rows, radices, *args, **kwargs):
+        init(self, rows, radices, *args, **kwargs)
+        built.append((rows, radices, self))
+
+    monkeypatch.setattr(code.BlockEnumerator, "__init__", recording_init)
+    return built
 
 
 class TestMacWilliamsRoute:
     """Codes of more than DIRECT_MAX words whose dual is smaller are
-    counted through the dual; direct enumeration of the code is the
-    oracle."""
+    counted through the Howell rows of their kernel, C-perp; direct
+    enumeration of the code is the oracle."""
 
     # (shapes, min_bits, max_bits, draws): r+s <= 16, so every code of
     # 2^17 words or more has the smaller dual; r+s <= 12, so every code
@@ -159,7 +184,7 @@ class TestMacWilliamsRoute:
             c = random_code(rng, max_size=2 ** 12)
             size = code_size(c)
             sides[(size > 2 ** (c.r + c.s)) - (size < 2 ** (c.r + c.s))] += 1
-            dual_hist = gray._lee_histogram(dual_report(c).dual)
+            dual_hist = histogram(dual_report(c).dual)
             assert gray._macwilliams(dual_hist, size) == direct_counts(c)
         assert set(sides) == {-1, 0, 1}
 
@@ -171,13 +196,14 @@ class TestMacWilliamsRoute:
                     poly = [a + factor[1] * b for a, b in zip(poly + [0], [0] + poly)]
                 assert list(row) == poly
 
-    def test_sharded_dual_is_bit_identical(self):
-        # |C| = 2^22 with r+s = 20: the dual has 2^18 words, four blocks
+    def test_sharded_dual_is_bit_identical(self, engines):
+        # |C| = 2^22 with r+s = 20: the kernel has 2^18 words, four blocks
         c = shaped_code(random.Random(5), 5, 15, max_bits=22, min_bits=22)
-        d = dual_report(c).dual
-        assert code_size(d) == 2 ** 18 and code.BlockEnumerator(d).nblocks >= 4
         assert gray.lee_enumerator(c, jobs=2) == gray.lee_enumerator(c, jobs=1)
         assert gray.lee_enumerator(c).total() == 2 ** 22
+        rows, _, be = engines[0]
+        assert rows == kernel_rows(c)
+        assert be.nblocks * be.block_size == 2 ** 18 and be.nblocks >= 4
 
     @pytest.mark.parametrize("shape, bits, through_dual", [
         ((1, 15), 18, True),    # 2^18 words, dual of 2^14
@@ -185,18 +211,39 @@ class TestMacWilliamsRoute:
         ((1, 7), 14, False),    # dual of 2^2 words, but only DIRECT_MAX words
         ((3, 9), 15, True),     # 2^15 > DIRECT_MAX words, dual of 2^9
     ])
-    def test_routing(self, shape, bits, through_dual, monkeypatch):
+    def test_routing(self, shape, bits, through_dual, engines):
         c = shaped_code(random.Random(7), *shape, max_bits=bits, min_bits=bits)
-        built = []
-        init = code.BlockEnumerator.__init__
-
-        def counting_init(self, enumerated, *args, **kwargs):
-            built.append(enumerated)
-            init(self, enumerated, *args, **kwargs)
-
-        monkeypatch.setattr(code.BlockEnumerator, "__init__", counting_init)
         gray.lee_enumerator(c)
-        assert built == [dual_report(c).dual if through_dual else c]
+        expected = code.enumeration_basis(c)
+        if through_dual:
+            # the kernel is its own Howell form; a row of pivot p takes
+            # 4 // p multiples
+            h = linalg.howell(linalg.MatZ4(kernel_rows(c), c.r + c.s))
+            assert h.matrix.rows == kernel_rows(c)
+            expected = (kernel_rows(c), tuple(4 // p for _, p in h.pivots))
+        assert [(rows, radices) for rows, radices, _ in engines] == [expected]
+
+    def test_route_needs_no_dual_report(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("the Lee enumerator extracted a dual")
+
+        calls = []
+        monkeypatch.setattr(dual, "dual_report", refuse)
+        monkeypatch.setattr(dual, "validate", refuse)
+        c = shaped_code(random.Random(7), 1, 15, max_bits=18, min_bits=18)
+        assert gray.lee_enumerator(c).counts == direct_counts(c)
+        rep = search(1, 15, forms=("ii",))
+        assert (32, 1024, 12) in {(res.n, res.M, res.d) for res in rep.results}
+        assert calls == []
+
+    def test_kernel_missing_a_row_fails_the_size_check(self, monkeypatch):
+        kernel = linalg.kernel
+        monkeypatch.setattr(linalg, "kernel",
+                            lambda m: linalg.MatZ4(kernel(m).rows[1:], m.ncols))
+        c = shaped_code(random.Random(7), 1, 15, max_bits=18, min_bits=18)
+        with pytest.raises(InternalCheckFailed, match="kernel spans"):
+            gray.lee_enumerator(c)
 
     def test_cap_is_checked_against_the_code(self):
         c = shaped_code(random.Random(7), 1, 15, max_bits=18, min_bits=18)
@@ -205,7 +252,7 @@ class TestMacWilliamsRoute:
 
     def test_post_check_rejects_a_wrong_dual_histogram(self):
         c = shaped_code(random.Random(7), 1, 15, max_bits=18, min_bits=18)
-        dual_hist = gray._lee_histogram(dual_report(c).dual)
+        dual_hist = histogram(dual_report(c).dual)
         dual_hist[2] += 1
         with pytest.raises(InternalCheckFailed):
             gray._macwilliams(dual_hist, code_size(c))

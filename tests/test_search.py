@@ -102,6 +102,15 @@ class TestSearch:
             sm.search(1, 3)
         assert len(calls) == evaluated + 1
 
+    def test_failed_internal_check_in_validate_is_raised(self, monkeypatch):
+        # a bug, not a rejected candidate: search must not skip it
+        def broken(**spec):
+            raise InternalCheckFailed("planted")
+
+        monkeypatch.setattr(sm, "validate", broken)
+        with pytest.raises(InternalCheckFailed, match="planted"):
+            sm.search(1, 3)
+
     def test_distance_floor(self):
         rep = sm.search(1, 7, forms=("ii",), distance_floor=6)
         assert rep.results and all(r.d >= 6 for r in rep.results)
