@@ -61,7 +61,12 @@ def _default_cap() -> int:
 
 def _load_spec(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"spec file is not UTF-8: {exc}") from None
+        except RecursionError:
+            raise InvalidInput("spec file nests too deeply to parse") from None
 
 
 def _emit(text: str, out_path: str | None):

@@ -396,7 +396,17 @@ def unpack(words: np.ndarray, n: int) -> np.ndarray:
 def lane_add(x: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Lane-wise sum mod 4: the low bits add by XOR and their carry goes
     into the high bit of the same lane, never into the next lane."""
-    return x ^ o ^ ((x & o & LO) << 1)
+    out = np.empty(np.broadcast_shapes(x.shape, o.shape), dtype=np.uint64)
+    return _lane_add_into(out, x, o)
+
+
+def _lane_add_into(out: np.ndarray, x: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """lane_add(x, o) written into out, which must overlap neither."""
+    np.bitwise_and(x, o & LO, out=out)
+    out <<= 1
+    out ^= x
+    out ^= o
+    return out
 
 
 def enumerate_codewords(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
@@ -412,9 +422,11 @@ def enumerate_codewords(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
         raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
     stop = size if stop is None else stop
     be = BlockEnumerator(*enumeration_basis(c), c.r + c.s)
+    words = None
     for h in range(start // be.block_size, -(-stop // be.block_size)):
         lo = h * be.block_size
-        for v in unpack(be.block(h), be.ncols)[max(start - lo, 0):stop - lo].tolist():
+        words = be.block(h, words)
+        for v in unpack(words, be.ncols)[max(start - lo, 0):stop - lo].tolist():
             yield CodeVector(tuple(v[:c.r]), tuple(v[c.r:]))
 
 
@@ -424,9 +436,12 @@ class BlockEnumerator:
     holds indices [h*block_size, (h+1)*block_size) as one (block_size,
     nwords) uint64 array in the lanes of pack, nwords = ceil(ncols/32).
     The basis is enumeration_basis of a code, or Howell rows with radix
-    4 // pivot.  The trailing digits are a table built once by lane-wise
-    addition; the leading digits of h become one offset word vector
-    that each block adds to the table.
+    4 // pivot.  The trailing digits are a table of block_size words,
+    built once in place, least significant digit first: with the first
+    `filled` entries done, entry d*filled + k is entry k plus d times
+    the next row.  The leading digits of h become one offset word
+    vector that each block adds to the table, into a caller's buffer
+    when it passes one, so a loop over blocks allocates nothing.
     """
 
     def __init__(self, rows, radices, ncols: int, max_block: int = 1 << 16):
@@ -439,29 +454,33 @@ class BlockEnumerator:
         self.nwords = -(-ncols // 32)
         self.block_size = width
         self.nblocks = math.prod(radices[:split])
-        # multiples[i][d] is d times row i, packed
-        multiples = [pack([[d * x for x in row] for d in range(rad)], ncols)
-                     for row, rad in zip(rows, radices)]
-        self._high = multiples[:split]
-        table = np.zeros((1, self.nwords), dtype=np.uint64)
-        for mult in multiples[split:]:
-            table = lane_add(table[:, None, :], mult[None, :, :]).reshape(-1, self.nwords)
+        # multiples[i, d] is d times row i, packed
+        once = pack(rows, ncols)
+        twice = lane_add(once, once)
+        multiples = np.stack((np.zeros_like(once), once, twice, lane_add(twice, once)),
+                             axis=1)
+        self._high = [multiples[i, :radices[i]] for i in range(split)]
         # column-major, so each word column is one contiguous run
-        self._table = np.asfortranarray(table)
+        table = np.zeros((width, self.nwords), dtype=np.uint64, order="F")
+        filled = 1
+        for i in reversed(range(split, len(radices))):
+            for d in range(1, radices[i]):
+                _lane_add_into(table[d * filled:(d + 1) * filled], table[:filled],
+                               multiples[i, d])
+            filled *= radices[i]
+        self._table = table
 
-    def block(self, h: int) -> np.ndarray:
-        """(block_size, nwords) packed codewords of block h, column-major."""
+    def block(self, h: int, out: np.ndarray | None = None) -> np.ndarray:
+        """(block_size, nwords) packed codewords of block h, column-major,
+        written into out (shaped like a block) when it is given."""
         offset = np.zeros(self.nwords, dtype=np.uint64)
         for mult in reversed(self._high):
             h, d = divmod(h, len(mult))
             if d:
                 offset = lane_add(offset, mult[d])
-        # lane_add(table, offset), in place on one new array
-        out = self._table & (offset & LO)
-        out <<= 1
-        out ^= self._table
-        out ^= offset
-        return out
+        if out is None:
+            out = np.empty_like(self._table)
+        return _lane_add_into(out, self._table, offset)
 
 
 # -- ideal canonicalization ---------------------------------------------

@@ -20,8 +20,13 @@ exact and takes one of two routes:
 
 Weight histograms are computed blockwise with 64-bit counters and merge
 associatively, so sharded runs reproduce the sequential histogram bit
-for bit.  Linearity of the Gray image is decided exactly, without
-enumeration, by the Z4-linearity criterion on pairs of generating rows.
+for bit.  Each contiguous range of blocks (one per thread of jobs) owns
+two block-sized buffers, allocated once: the engine writes each block
+into the first, and the Gray image, its popcounts and their sum over
+word columns are formed in the second, so the loop over blocks
+allocates nothing block-sized.  Linearity of the Gray image is decided
+exactly, without enumeration, by the Z4-linearity criterion on pairs of
+generating rows.
 """
 
 from __future__ import annotations
@@ -105,17 +110,25 @@ def gray_lanes(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _lee_weights(words: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Lee weight of each packed codeword: the popcount of its Gray image
-    (built in buf, shaped like words), the Gray map being an isometry."""
-    return np.bitwise_count(gray_lanes(words, buf)).sum(axis=1, dtype=np.intp)
+    """Lee weight of each packed codeword: the popcount of its Gray image,
+    the Gray map being an isometry.  The Gray image, its popcounts and
+    their sum over word columns are all formed in buf (shaped like
+    words), and the result is an intp view of its first column."""
+    counts = buf.view(np.intp)
+    np.bitwise_count(gray_lanes(words, buf), out=counts)
+    for k in range(1, counts.shape[1]):
+        counts[:, 0] += counts[:, k]
+    return counts[:, 0]
 
 
 def _histogram_range(be: BlockEnumerator, lo: int, hi: int) -> np.ndarray:
     acc = np.zeros(2 * be.ncols + 1, dtype=np.int64)
-    # one Gray buffer per range: a fresh one per block costs page faults
-    buf = np.empty((be.block_size, be.nwords), dtype=np.uint64, order="F")
+    # one block buffer and one Gray buffer per range, so threads do not
+    # share them: fresh block-sized arrays per block cost page faults
+    words = np.empty((be.block_size, be.nwords), dtype=np.uint64, order="F")
+    buf = np.empty_like(words)
     for h in range(lo, hi):
-        acc += np.bincount(_lee_weights(be.block(h), buf), minlength=acc.size)
+        acc += np.bincount(_lee_weights(be.block(h, words), buf), minlength=acc.size)
     return acc
 
 
@@ -258,8 +271,11 @@ def gray_words(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP):
     if size > cap:
         raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
     be = BlockEnumerator(*enumeration_basis(c), c.r + c.s)
+    words = image = None
     for h in range(be.nblocks):
-        pairs = unpack(gray_lanes(be.block(h)), be.ncols)
+        words = be.block(h, words)
+        image = gray_lanes(words, image)
+        pairs = unpack(image, be.ncols)
         chars = np.stack((pairs >> 1, pairs & 1), axis=2) + ord("0")
         for row in chars.reshape(be.block_size, -1):
             yield row.tobytes().decode()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -156,6 +157,25 @@ def code_engine(c, **kwargs):
     from z4dc.code import BlockEnumerator, enumeration_basis
 
     return BlockEnumerator(*enumeration_basis(c), c.r + c.s, **kwargs)
+
+
+def broadcast_table(rows, radices, ncols, max_block=1 << 16):
+    """The trailing-digit table of a BlockEnumerator (its block 0), built
+    the broadcast way: each trailing row's multiples packed from Python
+    lists, then one broadcast lane-wise sum per row, most significant
+    digit first."""
+    from z4dc.code import LO, pack
+
+    split, width = len(radices), 1
+    while split > 0 and width * radices[split - 1] <= max_block:
+        width *= radices[split - 1]
+        split -= 1
+    table = np.zeros((1, -(-ncols // 32)), dtype=np.uint64)
+    for row, rad in zip(rows[split:], radices[split:]):
+        x = table[:, None, :]
+        o = pack([[d * a for a in row] for d in range(rad)], ncols)[None, :, :]
+        table = (x ^ o ^ ((x & o & LO) << 1)).reshape(-1, table.shape[1])
+    return table
 
 
 def gray_image_is_linear(words):

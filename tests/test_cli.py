@@ -285,6 +285,20 @@ class TestInputContract:
         assert (rc, err["type"]) == (2, "InvalidInput")
         assert "must be at least 1" in err["message"]
 
+    @pytest.mark.parametrize("command", ["analyze", "dual"])
+    @pytest.mark.parametrize("raw, message", [
+        (b'\xff\xfe{"r":1}', "not UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_unreadable_spec_exits_2(self, tmp_path, capsys, command, raw, message):
+        path = tmp_path / "spec.json"
+        path.write_bytes(raw)
+        rc = cli.main([command, str(path)])
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)["error"]
+        assert (rc, captured.out, err["type"]) == (2, "", "InvalidInput")
+        assert message in err["message"]
+
     def test_coefficient_list_spec_with_empty_mixing(self, tmp_path, capsys):
         # the array form of the dual population, l = [] the zero polynomial
         path = tmp_path / "spec.json"

@@ -12,7 +12,7 @@ from itertools import islice
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import code_engine, counter_words, shaped_code
+from conftest import broadcast_table, code_engine, counter_words, shaped_code
 from z4dc import code, gray
 
 WIDTHS = (31, 32, 33, 64, 65, 66)
@@ -37,8 +37,11 @@ def test_lane_primitives_match_symbolwise_arithmetic(case):
     assert pu.shape == (m, -(-n // 32))
     assert (code.unpack(pu, n) == u).all()
     assert (code.unpack(code.lane_add(pu, pv), n) == (u + v) % 4).all()
-    weights = gray._lee_weights(pu, np.empty_like(pu))
-    assert weights.tolist() == [gray.lee_weight(w) for w in us[:m]]
+    for order in "CF":
+        buf = np.empty_like(pu, order=order)
+        weights = gray._lee_weights(np.asarray(pu, order=order), buf)
+        assert weights.tolist() == [gray.lee_weight(w) for w in us[:m]]
+        assert np.shares_memory(weights, buf)
     pairs = code.unpack(gray.gray_lanes(pu), n)
     assert [tuple(np.stack((p >> 1, p & 1), axis=1).ravel()) for p in pairs] \
         == [gray.gray_map(w) for w in us[:m]]
@@ -50,12 +53,35 @@ def test_lane_primitives_match_symbolwise_arithmetic(case):
 def test_decoded_blocks_follow_the_counter_order(rnd, shape, max_block):
     c = shaped_code(rnd, *shape, max_bits=10)
     be = code_engine(c, max_block=max_block)
+    # a reused buffer holding stale words must come back as a fresh block
+    out = np.full((be.block_size, be.nwords), ~np.uint64(0), order="F")
     decoded = []
     for h in range(be.nblocks):
         block = be.block(h)
         assert block.shape == (be.block_size, -(-(c.r + c.s) // 32))
+        assert be.block(h, out) is out and np.array_equal(out, block)
         decoded.extend(map(tuple, code.unpack(block, c.r + c.s).tolist()))
     assert decoded == list(counter_words(c))
+
+
+def bases(width):
+    """Up to ten (row, radix) pairs, radix 2 rows with odd entries
+    included, as Howell rows with a 2-pivot can have."""
+    return st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=width,
+                                       max_size=width),
+                              st.sampled_from((2, 4))), max_size=10)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(WIDTHS).flatmap(lambda n: st.tuples(st.just(n), bases(n))),
+       st.sampled_from(MAX_BLOCKS))
+def test_table_built_in_place_equals_the_broadcast_table(case, max_block):
+    n, basis = case
+    rows, radices = [row for row, _ in basis], tuple(rad for _, rad in basis)
+    be = code.BlockEnumerator(rows, radices, n, max_block=max_block)
+    table = be.block(0)
+    assert table.flags.f_contiguous
+    assert np.array_equal(table, broadcast_table(rows, radices, n, max_block))
 
 
 @settings(max_examples=25)

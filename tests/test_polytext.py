@@ -1,9 +1,11 @@
 """Polynomial text grammar and JSON forms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from z4dc import polytext as pt
 from z4dc.errors import PolyParseError
+from z4dc.z4poly import canon
 
 
 class TestParse:
@@ -48,11 +50,10 @@ class TestRender:
         assert pt.render((0, 1)) == "x"
         assert pt.render((0, 2)) == "2x"
 
-    def test_round_trip(self, rng):
-        for _ in range(300):
-            coeffs = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 9)))
-            canon = pt.from_json(list(coeffs))
-            assert pt.parse(pt.render(canon)) == canon
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 3), max_size=70).map(canon))
+    def test_round_trip(self, p):
+        assert pt.parse(pt.render(p)) == p
 
 
 class TestJsonForm:
