@@ -9,6 +9,13 @@ Exit codes: 0 success, 1 I/O failure, 2 validation failure (with a
 machine-readable error object naming the violated invariant), 3
 enumeration or dimension cap exceeded (--force lifts the caps), 4 a
 failed internal check, i.e. a bug in z4dc (same error object).
+
+Sizes are printed exact.  A code of length r+s, with r and s up to
+polytext.MAX_LENGTH, has up to 4^(r+s) words, more digits than Python
+prints by default, so main lifts the interpreter's int-to-string digit
+limit while it runs.  That limit guards against quadratic conversions
+of unbounded input, so the spec's own integer literals are held to the
+default limit instead (_spec_int).
 """
 
 from __future__ import annotations
@@ -59,10 +66,18 @@ def _default_cap() -> int:
     return cap
 
 
+def _spec_int(digits: str) -> int:
+    """A JSON integer literal of the spec, held to the default digit limit."""
+    if len(digits.lstrip("-")) > sys.int_info.default_max_str_digits:
+        raise InvalidInput(f"spec integer of more than "
+                           f"{sys.int_info.default_max_str_digits} digits")
+    return int(digits)
+
+
 def _load_spec(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_spec_int)
         except UnicodeDecodeError as exc:
             raise InvalidInput(f"spec file is not UTF-8: {exc}") from None
         except RecursionError:
@@ -286,6 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.jobs < 1:
             raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
@@ -307,6 +324,8 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(
             {"error": {"type": "IOError", "message": str(exc)}}) + "\n")
         return 1
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

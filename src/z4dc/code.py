@@ -229,9 +229,11 @@ def validate(r: int, s: int, f1: Poly | None = None, g1: Poly | None = None,
     recovery path for non-canonical generating sets).  Both mixing
     conditions are divisibility tests (in_ideal); together they make
     code_size a theorem for the validated generators, so no span is
-    computed here.
+    computed here.  r and s are at most polytext.MAX_LENGTH.
     """
     for name, n in (("r", r), ("s", s)):
+        if isinstance(n, int) and n > polytext.MAX_LENGTH:
+            raise InvalidInput(f"{name} must be at most {polytext.MAX_LENGTH}")
         if not isinstance(n, int) or n < 1 or n % 2 == 0:
             raise EvenLength(f"{name} must be a positive odd integer, got {n!r}")
 

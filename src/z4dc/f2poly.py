@@ -4,6 +4,13 @@ Same representation convention as z4poly: tuples of bits, ascending
 degree, no trailing zeros, () for the zero polynomial.  Only what the
 Z4 layer needs lives here: ring ops, gcd/xgcd, and Berlekamp
 factorization of the squarefree polynomial x^n - 1 (n odd).
+
+Every function is pure.  The ring ops, division, gcd and x^n + 1 are
+memoized with bounded caches of CACHE_SIZE entries each (z4poly shares
+the bound), because the codes of a search or a dual population are
+built from the same few divisors of x^n - 1 and repeat the same
+products and divisions; so callers pass tuples, which are hashable.
+An exception is never cached: a rejected call raises again.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ import functools
 from .errors import BothZero, EvenLength, InternalCheckFailed
 
 Poly = tuple[int, ...]
+
+CACHE_SIZE = 512  # entries per memoized function, here and in z4poly
+memoize = functools.lru_cache(maxsize=CACHE_SIZE)
 
 ZERO: Poly = ()
 ONE: Poly = (1,)
@@ -29,6 +39,7 @@ def degree(a: Poly) -> int:
     return len(a) - 1
 
 
+@memoize
 def add(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
@@ -38,6 +49,7 @@ def add(a: Poly, b: Poly) -> Poly:
     return canon(out)
 
 
+@memoize
 def mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ZERO
@@ -49,11 +61,13 @@ def mul(a: Poly, b: Poly) -> Poly:
     return canon(out)
 
 
+@memoize
 def xn_plus_1(n: int) -> Poly:
     """x^n + 1, which equals x^n - 1 over F2."""
     return canon([1] + [0] * (n - 1) + [1])
 
 
+@memoize
 def polydivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -72,6 +86,7 @@ def polymod(a: Poly, b: Poly) -> Poly:
     return polydivmod(a, b)[1]
 
 
+@memoize
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; not both arguments may be zero."""
     if not a and not b:

@@ -8,6 +8,13 @@ array [c0, c1, ...].
 
 Canonical rendering lists terms by descending exponent, omits zero
 terms and unit coefficients, and renders the zero polynomial as "0".
+
+MAX_LENGTH bounds every length an input can ask for: a term exponent,
+the length of a coefficient array less one, and the block lengths r
+and s (checked by code.validate).  The text and array bounds are
+checked before any exponent is converted to an int and before any
+coefficient list is built, so a spec can never ask for more than
+MAX_LENGTH + 1 coefficients.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import re
 
 from .errors import PolyParseError
 from .z4poly import Poly, canon
+
+MAX_LENGTH = 1 << 16
 
 _TERM = re.compile(r"^(?:([0-3])|([0-3])?x(?:\^(\d+))?)$")
 
@@ -41,10 +50,20 @@ def parse(text: str) -> Poly:
             c, k = int(const), 0
         else:
             c = int(coeff) if coeff is not None else 1
-            k = int(exp) if exp is not None else 1
+            k = _exponent(exp) if exp is not None else 1
         coeffs[k] = (coeffs.get(k, 0) + c) % 4
     deg = max(coeffs)
     return canon(coeffs.get(i, 0) for i in range(deg + 1))
+
+
+def _exponent(digits: str) -> int:
+    """The value of a decimal exponent, checked against MAX_LENGTH on its
+    digits first, so an exponent of any length is rejected unconverted."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_LENGTH)) or int(digits) > MAX_LENGTH:
+        raise PolyParseError(f"term exponent exceeds {MAX_LENGTH}",
+                             rule=f"K <= {MAX_LENGTH}")
+    return int(digits)
 
 
 def render(a: Poly) -> str:
@@ -73,6 +92,9 @@ def from_json(value) -> Poly:
         if not all(isinstance(c, int) and not isinstance(c, bool) for c in value):
             raise PolyParseError("coefficient array entries must be integers",
                                  rule="array ::= [c0, c1, ...]")
+        if len(value) > MAX_LENGTH + 1:
+            raise PolyParseError(f"coefficient array longer than {MAX_LENGTH + 1}",
+                                 rule=f"len(array) <= {MAX_LENGTH + 1}")
         return canon(value)
     raise PolyParseError(f"polynomial must be a string or array, got {type(value).__name__}",
                          rule="poly ::= string | array")

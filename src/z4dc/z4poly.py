@@ -3,7 +3,13 @@
 Polynomials are tuples of coefficients in {0,1,2,3}, ascending degree,
 with no trailing zeros; the zero polynomial is the empty tuple.  All
 functions return canonical tuples, so results compare with ==.  Values
-are immutable and every operation is pure.
+are immutable and every operation is pure, so the ring ops, reduction,
+division, reciprocal and the constructors of monomials and x^n - 1 are
+memoized with bounded caches (f2poly.CACHE_SIZE entries each): codes
+and their duals are built from a few divisors of x^n - 1, so the same
+products and divisions recur.  Callers pass tuples, which are
+hashable; canon takes any iterable and is not cached.  An exception is
+never cached: a rejected call raises again.
 
 degree() returns -1 for the zero polynomial as a sentinel; callers that
 feed a degree into a formula must reject the zero polynomial first.
@@ -21,6 +27,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from . import f2poly
+from .f2poly import memoize
 
 Poly = tuple[int, ...]
 
@@ -46,6 +53,7 @@ def is_monic(a: Poly) -> bool:
     return bool(a) and a[-1] == 1
 
 
+@memoize
 def add(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
@@ -63,10 +71,12 @@ def sub(a: Poly, b: Poly) -> Poly:
     return add(a, neg(b))
 
 
+@memoize
 def scale(c: int, a: Poly) -> Poly:
     return canon(x * c for x in a)
 
 
+@memoize
 def mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ZERO
@@ -78,16 +88,19 @@ def mul(a: Poly, b: Poly) -> Poly:
     return canon(out)
 
 
+@memoize
 def monomial(k: int, c: int = 1) -> Poly:
     """c * x^k."""
     return canon([0] * k + [c])
 
 
+@memoize
 def xn_minus_1(n: int) -> Poly:
     """x^n - 1 over Z4 (constant term 3)."""
     return canon([3] + [0] * (n - 1) + [1])
 
 
+@memoize
 def mod_cyclic(a: Poly, n: int) -> Poly:
     """Reduce a modulo x^n - 1 by folding exponents mod n."""
     if len(a) <= n:
@@ -103,6 +116,7 @@ def mul_mod_cyclic(a: Poly, b: Poly, n: int) -> Poly:
     return mod_cyclic(mul(a, b), n)
 
 
+@memoize
 def divmod_monic(a: Poly, d: Poly) -> tuple[Poly, Poly]:
     """Exact division with remainder by a unit-lead divisor.
 
@@ -138,6 +152,7 @@ def exact_div(a: Poly, d: Poly) -> Poly:
     return q
 
 
+@memoize
 def reciprocal(f: Poly) -> Poly:
     """Coefficient reversal x^t * f(1/x) with t the actual degree of f."""
     if not f:
@@ -152,6 +167,7 @@ def make_monic(a: Poly) -> Poly:
     return a if a[-1] == 1 else scale(3, a)
 
 
+@memoize
 def reduce_mod2(f: Poly) -> f2poly.Poly:
     """Coefficientwise reduction to F2, re-canonicalized."""
     return f2poly.canon(c % 2 for c in f)

@@ -69,6 +69,37 @@ def random_poly(rng, max_deg, alphabet=4):
     return z4poly.canon(rng.randrange(alphabet) for _ in range(max_deg + 1))
 
 
+# -- memoized kernels ------------------------------------------------------
+
+
+def memoized_names(module) -> set[str]:
+    """The functions of a module that carry an lru_cache."""
+    return {name for name, obj in vars(module).items()
+            if callable(obj) and hasattr(obj, "cache_info")}
+
+
+def check_memoized(fn, args):
+    """The lru_cache wrapper fn agrees with its uncached body on args, on
+    a cold cache (one miss) and again from the cache (one hit)."""
+    expected = fn.__wrapped__(*args)
+    fn.cache_clear()
+    first = fn(*args)
+    again = fn(*args)
+    assert first == again == expected
+    assert type(first) is type(expected)
+    assert fn.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def check_rejected_again(fn, args, exc):
+    """A rejected call is not cached: it raises on every repetition and
+    leaves no entry behind."""
+    fn.cache_clear()
+    for _ in range(2):
+        with pytest.raises(exc):
+            fn(*args)
+    assert fn.cache_info().currsize == 0
+
+
 # -- exhaustive span oracle ----------------------------------------------
 
 

@@ -1,8 +1,9 @@
 """The package's public name list, its acyclic module graph, and no
-dead imports or bare asserts in its modules."""
+dead imports, bare asserts or unbounded caches in its modules."""
 
 import ast
 import graphlib
+import importlib
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,61 @@ def test_bare_assert_check_flags_a_planted_one():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_bare_asserts(path):
     assert bare_asserts(path.read_text(encoding="utf-8")) == []
+
+
+def _functools_name(node) -> str | None:
+    """'lru_cache' or 'cache' when node names that functools decorator."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"):
+        return node.attr
+    if isinstance(node, ast.Name) and node.id == "lru_cache":
+        return node.id
+    return None
+
+
+def unbounded_caches(source: str, namespace: dict) -> list[int]:
+    """Lines of a module's caches that no finite integer maxsize bounds:
+    functools.cache, a bare lru_cache (its maxsize left implicit) and an
+    lru_cache whose maxsize is None or not a positive int.  A maxsize
+    given by a name is evaluated in the module's namespace."""
+    tree = ast.parse(source)
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(a.name == "cache" for a in node.names):
+                lines.append(node.lineno)
+        elif _functools_name(node) == "cache":
+            lines.append(node.lineno)
+        elif _functools_name(node) == "lru_cache" and id(node) not in called:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and _functools_name(node.func) == "lru_cache":
+            size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+            value = size and eval(compile(ast.Expression(size[0]), "<maxsize>", "eval"),
+                                  dict(namespace))
+            if type(value) is not int or value < 1:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_unbounded_cache_check_flags_planted_ones():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@functools.lru_cache(maxsize=N)\ndef a(): pass\n"
+              "@lru_cache(16)\ndef b(): pass\n"
+              "@functools.lru_cache(maxsize=None)\ndef c(): pass\n"
+              "@functools.lru_cache\ndef d(): pass\n"
+              "@functools.cache\ndef e(): pass\n"
+              "memo = lru_cache(maxsize=2.5)\n"
+              "f = lru_cache()(len)\n")
+    assert unbounded_caches(source, {"N": 8}) == [2, 7, 9, 11, 13, 14]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    module = importlib.import_module(
+        "z4dc" if path.stem == "__init__" else f"z4dc.{path.stem}")
+    assert unbounded_caches(path.read_text(encoding="utf-8"), vars(module)) == []
 
 
 def package_imports(source: str, modules) -> set[str]:

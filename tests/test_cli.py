@@ -1,16 +1,29 @@
 """CLI integration: exit codes, report shapes, determinism, and the
 verify-examples harness (including a mutation sanity check)."""
 
+import contextlib
 import json
 import random
+import sys
 
 import pytest
 
 from conftest import shaped_code
-from z4dc import cli, code, gray, search
+from z4dc import cli, code, gray, polytext, search
 from z4dc.code import spec_dict
 from z4dc.errors import InternalCheckFailed
 import numpy as np
+
+
+@contextlib.contextmanager
+def exact_ints():
+    """Lift the int-to-string digit limit, as cli.main does."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture
@@ -298,6 +311,45 @@ class TestInputContract:
         err = json.loads(captured.err)["error"]
         assert (rc, captured.out, err["type"]) == (2, "", "InvalidInput")
         assert message in err["message"]
+
+    def test_dual_prints_a_size_past_the_digit_limit(self, tmp_path, capsys):
+        # the zero code of length 7152: its dual, the whole space, has
+        # 4^7152 words, 4307 digits, past Python's default of 4300
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"r": 7151, "s": 1}))
+        limit = sys.get_int_max_str_digits()
+        assert cli.main(["dual", str(path)]) == 0
+        assert sys.get_int_max_str_digits() == limit  # restored on return
+        out = capsys.readouterr().out
+        with exact_ints():
+            assert json.loads(out)["dual_size"] == 4 ** 7152
+
+    def test_cap_error_names_a_size_past_the_digit_limit(self, tmp_path, capsys):
+        rc, err = self.run_spec(tmp_path, capsys,
+                                {"r": 7151, "s": 1, "f1": "1", "g1": "1"})
+        assert (rc, err["type"]) == (3, "EnumerationCapExceeded")
+        with exact_ints():
+            assert f"code size {4 ** 7151} exceeds" in err["message"]
+
+    def test_spec_integer_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"r": 1' + "0" * 5000 + ', "s": 1}')
+        rc = cli.main(["dual", str(path)])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (rc, err["type"]) == (2, "InvalidInput")
+
+    @pytest.mark.parametrize("exponent", ["9" * 5000, "100000000000"])
+    def test_exponent_past_the_length_bound(self, tmp_path, capsys, exponent):
+        rc, err = self.run_spec(tmp_path, capsys, {
+            "r": 1, "s": 7, "f1": "x+1", "g1": "x+1", "l": "x^" + exponent,
+            "f2": "x+1", "g2": "x+1"})
+        assert (rc, err["type"]) == (2, "PolyParseError")
+
+    @pytest.mark.parametrize("key", ["r", "s"])
+    def test_length_past_the_bound(self, tmp_path, capsys, key):
+        spec = {"r": 1, "s": 1, key: polytext.MAX_LENGTH + 1}
+        rc, err = self.run_spec(tmp_path, capsys, spec)
+        assert (rc, err["type"]) == (2, "InvalidInput")
 
     def test_coefficient_list_spec_with_empty_mixing(self, tmp_path, capsys):
         # the array form of the dual population, l = [] the zero polynomial

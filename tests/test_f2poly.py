@@ -1,8 +1,15 @@
 """Binary polynomial layer: gcd/xgcd and the x^n-1 factorization."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import all_polys, gcd_f2_oracle
+from conftest import (
+    all_polys,
+    check_memoized,
+    check_rejected_again,
+    gcd_f2_oracle,
+    memoized_names,
+)
 from z4dc import f2poly as fp
 from z4dc.errors import BothZero, EvenLength
 
@@ -107,3 +114,38 @@ class TestFactorCyclic:
         for f in facs:
             prod = fp.mul(prod, f)
         assert prod == fp.xn_plus_1(63)
+
+
+# -- memoization ---------------------------------------------------------
+
+polys = st.lists(st.integers(0, 1), max_size=16).map(fp.canon)
+nonzero = st.builds(lambda p: p + (1,), polys)
+
+MEMOIZED = {
+    "add": st.tuples(polys, polys),
+    "mul": st.tuples(polys, polys),
+    "xn_plus_1": st.tuples(st.integers(1, 20)),
+    "polydivmod": st.tuples(polys, nonzero),
+    "gcd": st.one_of(st.tuples(polys, nonzero), st.tuples(nonzero, polys)),
+}
+
+
+def test_memoized_set_is_the_documented_one():
+    assert memoized_names(fp) == set(MEMOIZED) | {"factor_cyclic"}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOIZED))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_memoized_equals_uncached(name, data):
+    check_memoized(getattr(fp, name), data.draw(MEMOIZED[name]))
+
+
+@settings(max_examples=20)
+@given(polys)
+def test_division_by_zero_raises_every_time(a):
+    check_rejected_again(fp.polydivmod, (a, ()), ZeroDivisionError)
+
+
+def test_gcd_of_zeros_raises_every_time():
+    check_rejected_again(fp.gcd, ((), ()), BothZero)

@@ -41,6 +41,16 @@ class TestParse:
             pt.parse("x+*")
         assert ei.value.rule
 
+    @pytest.mark.parametrize("exponent", ["9" * 5000, "100000000000",
+                                          str(pt.MAX_LENGTH + 1)])
+    def test_exponent_past_the_bound(self, exponent):
+        with pytest.raises(PolyParseError, match="exceeds"):
+            pt.parse("x^" + exponent)
+
+    def test_exponent_at_the_bound(self):
+        assert pt.parse(f"x^{pt.MAX_LENGTH}+1") == (1,) + (0,) * (pt.MAX_LENGTH - 1) + (1,)
+        assert pt.parse("x^" + "0" * 5000 + "3") == (0, 0, 0, 1)
+
 
 class TestRender:
     def test_canonical_form(self):
@@ -73,3 +83,8 @@ class TestJsonForm:
             pt.from_json(12)
         with pytest.raises(PolyParseError):
             pt.from_json([True])
+
+    def test_array_past_the_bound(self):
+        assert len(pt.from_json([1] * (pt.MAX_LENGTH + 1))) == pt.MAX_LENGTH + 1
+        with pytest.raises(PolyParseError, match="longer than"):
+            pt.from_json([0] * (pt.MAX_LENGTH + 2))

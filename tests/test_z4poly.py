@@ -2,8 +2,17 @@
 plus randomized ring-axiom checks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import all_polys, naive_mod_cyclic, naive_mul, random_poly
+from conftest import (
+    all_polys,
+    check_memoized,
+    check_rejected_again,
+    memoized_names,
+    naive_mod_cyclic,
+    naive_mul,
+    random_poly,
+)
 from z4dc import f2poly, z4poly as zp
 from z4dc.errors import (
     NonUnitLeadingCoefficient,
@@ -242,3 +251,44 @@ class TestRingAxioms:
                 zp.mul_mod_cyclic(a, zp.mul_mod_cyclic(b, c, n), n)
             assert zp.mul_mod_cyclic(a, zp.mod_cyclic(zp.add(b, c), n), n) == \
                 zp.mod_cyclic(zp.add(ab, zp.mul_mod_cyclic(a, c, n)), n)
+
+
+# -- memoization ---------------------------------------------------------
+
+polys = st.lists(st.integers(0, 3), max_size=12).map(zp.canon)
+unit_lead = st.builds(lambda p, u: p + (u,), polys, st.sampled_from([1, 3]))
+non_unit_lead = st.one_of(st.just(zp.ZERO), st.builds(lambda p: p + (2,), polys))
+lengths = st.integers(1, 20)
+
+MEMOIZED = {
+    "add": st.tuples(polys, polys),
+    "scale": st.tuples(st.integers(0, 3), polys),
+    "mul": st.tuples(polys, polys),
+    "monomial": st.tuples(st.integers(0, 20), st.integers(0, 3)),
+    "xn_minus_1": st.tuples(lengths),
+    "mod_cyclic": st.tuples(polys, lengths),
+    "divmod_monic": st.tuples(polys, unit_lead),
+    "reciprocal": st.tuples(unit_lead),
+    "reduce_mod2": st.tuples(polys),
+}
+
+
+def test_memoized_set_is_the_documented_one():
+    assert memoized_names(zp) == set(MEMOIZED) | {"hensel_lift"}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOIZED))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_memoized_equals_uncached(name, data):
+    check_memoized(getattr(zp, name), data.draw(MEMOIZED[name]))
+
+
+@settings(max_examples=40)
+@given(polys, non_unit_lead)
+def test_division_by_non_unit_lead_raises_every_time(a, d):
+    check_rejected_again(zp.divmod_monic, (a, d), NonUnitLeadingCoefficient)
+
+
+def test_reciprocal_of_zero_raises_every_time():
+    check_rejected_again(zp.reciprocal, ((),), ZeroPolynomial)
