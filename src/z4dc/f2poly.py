@@ -2,8 +2,9 @@
 
 Same representation convention as z4poly: tuples of bits, ascending
 degree, no trailing zeros, () for the zero polynomial.  Only what the
-Z4 layer needs lives here: ring ops, gcd/xgcd, and Berlekamp
-factorization of the squarefree polynomial x^n - 1 (n odd).
+Z4 layer needs lives here: ring ops, gcd/xgcd, F2 row reduction, and
+the factorization of the squarefree polynomial x^n - 1 (n odd), split
+by gcds with the idempotents of its 2-cyclotomic cosets.
 
 Every function is pure.  The ring ops, division, gcd and x^n + 1 are
 memoized with bounded caches of CACHE_SIZE entries each (z4poly shares
@@ -156,22 +157,26 @@ def rref(rows) -> tuple[list[int], list[int]]:
     return [basis[i] for i in order], [pivots[i] for i in order]
 
 
-def _left_nullspace(rows: list[Poly], d: int) -> list[Poly]:
-    """Basis of {v : sum_i v_i * rows[i] = 0} with rows padded to length d.
+def cyclotomic_cosets(n: int) -> list[list[int]]:
+    """The 2-cyclotomic cosets mod n, the orbits of i -> 2i mod n on
+    range(n), each listed from its least element and ordered by it.
 
-    One linear constraint per column, reduced by rref; each free
-    variable set to 1 in turn determines the pivot variables.
+    There is one coset per irreducible factor of x^n - 1 over F2, of the
+    factor's degree, so the count is known before anything is factored.
     """
-    constraints = [to_bits([row[j] if j < len(row) else 0 for row in rows])
-                   for j in range(d)]
-    basis, pivots = rref(constraints)
-    out = []
-    for free in sorted(set(range(d)) - set(pivots)):
-        v = 1 << free
-        for p, b in zip(pivots, basis):
-            v |= (b >> free & 1) << p
-        out.append(from_bits(v))
-    return out
+    if n < 1 or n % 2 == 0:
+        raise EvenLength(f"n must be a positive odd integer, got {n!r}")
+    seen = bytearray(n)
+    cosets = []
+    for i in range(n):
+        coset = []
+        while not seen[i]:
+            seen[i] = 1
+            coset.append(i)
+            i = 2 * i % n
+        if coset:
+            cosets.append(coset)
+    return cosets
 
 
 @functools.lru_cache(maxsize=64)
@@ -179,54 +184,30 @@ def factor_cyclic(n: int) -> frozenset[Poly]:
     """Distinct monic irreducible factors of x^n - 1 over F2 (cached: the
     frozenset is immutable and callers ask again for the same few n).
 
-    n odd makes x^n - 1 squarefree, so plain Berlekamp splitting applies:
-    the nullity of the Frobenius-minus-identity map counts the factors,
-    and gcds against Berlekamp subalgebra elements separate them.
+    n odd makes x^n - 1 squarefree, and the coset sums v = sum_{i in C}
+    x^i, the idempotents of the binary cyclic codes of length n, span
+    its Berlekamp subalgebra: squaring doubles each exponent, so v is 0
+    or 1 modulo every irreducible factor, and the supports are disjoint
+    with one coset per factor.  So for a current factor u, either
+    g = gcd(u, v) is 1 or u and u stays, or u splits into g and u/g;
+    after every coset each pair of factors has been separated.  Small
+    cosets go first: their sums split off the small factors cheaply.
     """
-    if n < 1 or n % 2 == 0:
-        raise EvenLength(f"n must be a positive odd integer, got {n!r}")
+    cosets = cyclotomic_cosets(n)
     f = xn_plus_1(n)
-    if n == 1:
-        return frozenset({f})
-    d = n
-    # rows[i] = x^(2i) mod f
-    rows: list[Poly] = []
-    cur: Poly = ONE
-    xsq = polymod((0, 0, 1), f)
-    for _ in range(d):
-        rows.append(cur)
-        cur = polymod(mul(cur, xsq), f)
-    # Q - I, acting on coefficient row vectors
-    qmi = []
-    for i in range(d):
-        row = list(rows[i]) + [0] * (d - len(rows[i]))
-        row[i] ^= 1
-        qmi.append(canon(row))
-    basis = _left_nullspace(qmi, d)
-    k = len(basis)
     factors: list[Poly] = [f]
-    for v in basis:
-        if len(factors) == k:
+    for coset in sorted(cosets, key=len):
+        if len(factors) == len(cosets):
             break
+        v = from_bits(sum(1 << i for i in coset))
         out: list[Poly] = []
         for u in factors:
-            if degree(u) <= 1:
-                out.append(u)
-                continue
-            vu = polymod(v, u)
-            g0 = gcd(u, vu) if vu else u
-            pieces = []
-            if g0 != ONE and g0 != u:
-                pieces = [g0, polydivmod(u, g0)[0]]
-            else:
-                g1 = gcd(u, add(vu, ONE))
-                if g1 != ONE and g1 != u:
-                    pieces = [g1, polydivmod(u, g1)[0]]
-            out.extend(pieces if pieces else [u])
+            g = gcd(u, v)
+            out += [u] if g in (ONE, u) else [g, polydivmod(u, g)[0]]
         factors = out
-    if len(factors) != k:
-        raise InternalCheckFailed(f"Berlekamp split of x^{n}-1 found "
-                                  f"{len(factors)} of {k} factors")
+    if len(factors) != len(cosets):
+        raise InternalCheckFailed(f"coset split of x^{n}-1 found "
+                                  f"{len(factors)} of {len(cosets)} factors")
     prod = ONE
     for u in factors:
         prod = mul(prod, u)

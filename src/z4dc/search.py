@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import f2poly
+from . import f2poly, polytext
 from .code import (
     code_size,
     from_spec_dict,
@@ -33,13 +33,19 @@ def divisor_lattice(n: int, bound: int = DEFAULT_LATTICE_BOUND) -> list[Poly]:
     """All monic divisors of x^n - 1 over Z4, sorted by (degree, coeffs).
 
     Each divisor is the Hensel lift of a product of irreducible residue
-    factors; there are exactly 2^(number of factors) of them.
+    factors; there are exactly 2^(number of factors) of them.  n is a
+    positive odd integer of at most polytext.MAX_LENGTH, and the bound
+    is checked on the count of cyclotomic cosets, one per factor, before
+    anything is factored.
     """
-    factors = sorted(f2poly.factor_cyclic(n))
-    if 2 ** len(factors) > bound:
+    if isinstance(n, int) and n > polytext.MAX_LENGTH:
+        raise InvalidInput(f"n must be at most {polytext.MAX_LENGTH}")
+    k = len(f2poly.cyclotomic_cosets(n))
+    if 2 ** k > bound:
         raise LatticeTooLarge(
-            f"x^{n}-1 has {len(factors)} residue factors; lattice of size "
-            f"2^{len(factors)} exceeds bound {bound}")
+            f"x^{n}-1 has {k} residue factors; lattice of size "
+            f"2^{k} exceeds bound {bound}")
+    factors = sorted(f2poly.factor_cyclic(n))
     lifts = [hensel_lift(p, n) for p in factors]
     divisors = []
     for bits in product((0, 1), repeat=len(lifts)):

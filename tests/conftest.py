@@ -353,3 +353,41 @@ def gcd_f2_oracle(a, b):
     while b:
         a, b = b, mod(a, b)
     return a
+
+
+def _f2_mod(a: int, p: int) -> int:
+    """a mod p over F2, both as bitmasks (bit i the coefficient of x^i)."""
+    while a.bit_length() >= p.bit_length():
+        a ^= p << (a.bit_length() - p.bit_length())
+    return a
+
+
+def is_irreducible_rabin(poly) -> bool:
+    """Rabin's test over F2, on bitmask arithmetic independent of f2poly:
+    p of degree d >= 1 is irreducible iff x^(2^d) = x mod p and
+    gcd(x^(2^(d/q)) - x, p) = 1 for every prime q dividing d."""
+    p = sum(c << i for i, c in enumerate(poly))
+    d = p.bit_length() - 1
+    if d < 1:
+        return False
+    x = _f2_mod(0b10, p)
+
+    def frobenius(k):  # x^(2^k) mod p, by k squarings
+        a = x
+        for _ in range(k):
+            sq = 0
+            for i in range(a.bit_length()):
+                if a >> i & 1:
+                    sq ^= a << i
+            a = _f2_mod(sq, p)
+        return a
+
+    def coprime(a, b):
+        while b:
+            a, b = b, _f2_mod(a, b)
+        return a == 1
+
+    primes = [q for q in range(2, d + 1)
+              if d % q == 0 and all(q % e for e in range(2, q))]
+    return frobenius(d) == x and all(coprime(p, frobenius(d // q) ^ x)
+                                     for q in primes)

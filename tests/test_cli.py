@@ -2,14 +2,16 @@
 verify-examples harness (including a mutation sanity check)."""
 
 import contextlib
+import io
 import json
 import random
 import sys
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import shaped_code
-from z4dc import cli, code, gray, polytext, search
+from z4dc import cli, code, f2poly, gray, polytext, search, z4poly
 from z4dc.code import spec_dict
 from z4dc.errors import InternalCheckFailed
 import numpy as np
@@ -398,6 +400,24 @@ class TestSearchCli:
         assert err["type"] == "InvalidInput"
         assert "max_l_degree" in err["message"]
 
+    def test_lattice_bound_is_checked_before_factoring(self, capsys, monkeypatch):
+        # x^65535-1 has 4115 residue factors, one per cyclotomic coset
+        lengths = []
+        factor = f2poly.factor_cyclic
+        monkeypatch.setattr(f2poly, "factor_cyclic",
+                            lambda n: lengths.append(n) or factor(n))
+        rc = cli.main(["search", "1", "65535"])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (rc, err["type"]) == (2, "LatticeTooLarge")
+        assert "4115 residue factors" in err["message"]
+        assert 65535 not in lengths
+
+    def test_length_past_the_bound_exits_2(self, capsys):
+        rc = cli.main(["search", "1", str(polytext.MAX_LENGTH + 1)])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (rc, err["type"]) == (2, "InvalidInput")
+        assert f"at most {polytext.MAX_LENGTH}" in err["message"]
+
     @pytest.mark.parametrize("r, s", [("1", "-1"), ("-3", "1")])
     def test_nonpositive_length_exits_2(self, capsys, r, s):
         rc = cli.main(["search", r, s])
@@ -420,3 +440,110 @@ class TestGrayExport:
     def test_cap_exit(self, kerdock_spec):
         assert cli.main(["gray-export", kerdock_spec,
                          "--max-enum", "10"]) == 3
+
+
+# -- input fuzzer ------------------------------------------------------------
+#
+# Every input must end in exit 0, 1, 2 or 3, with the JSON error object
+# on stderr and nothing on stdout for a nonzero exit; exit 4 (a failed
+# internal check) and an exception escaping main are bugs.  Lengths are
+# either small (r, s <= 15) or past a bound, and enumeration is capped,
+# so that no example costs more than a few milliseconds or megabytes.
+
+SMALL_LENGTHS = (1, 3, 5, 7, 9, 15)
+PAST_BOUND = (polytext.MAX_LENGTH + 1, 10 ** 9)
+
+
+def poly_json(p):
+    return st.sampled_from([polytext.render(p), list(p)])
+
+
+@st.composite
+def valid_specs(draw):
+    """Generators drawn from the divisor lattices with g | f; the mixing
+    polynomial is arbitrary, so some of these still fail validation."""
+    r, s = draw(st.sampled_from(SMALL_LENGTHS)), draw(st.sampled_from(SMALL_LENGTHS))
+    spec = {"r": r, "s": s}
+    for f_key, g_key, n in (("f1", "g1", r), ("f2", "g2", s)):
+        if draw(st.booleans()):
+            lattice = search.divisor_lattice(n)
+            f = draw(st.sampled_from(lattice))
+            g = draw(st.sampled_from([d for d in lattice if z4poly.divides(d, f)]))
+            spec[f_key], spec[g_key] = draw(poly_json(f)), draw(poly_json(g))
+    if "f2" in spec and draw(st.booleans()):
+        l = draw(st.lists(st.integers(0, 3), max_size=r).map(z4poly.canon))
+        spec["l"] = draw(poly_json(l))
+    return json.dumps(spec).encode()
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False),
+    st.sampled_from([-3, 0, 2, 4, *SMALL_LENGTHS, *PAST_BOUND]),
+    st.text(alphabet="0123x^+ 49-", max_size=10),
+    st.lists(st.integers(-5, 5), max_size=4),
+    st.dictionaries(st.sampled_from(["r", "a"]), st.integers(0, 3), max_size=2))
+
+wrong_specs = st.one_of(
+    st.dictionaries(st.sampled_from(["r", "s", "f1", "g1", "l", "f2", "g2", "R", ""]),
+                    JUNK, max_size=7),
+    st.lists(JUNK, max_size=3), JUNK).map(lambda v: json.dumps(v).encode())
+
+past_bound_specs = st.sampled_from([
+    {"r": polytext.MAX_LENGTH + 1, "s": 1},
+    {"r": 1, "s": 3, "f2": f"x^{polytext.MAX_LENGTH + 1}+3", "g2": "x+3"},
+    {"r": 1, "s": 3, "l": "x^" + "9" * 50, "f2": "x+3", "g2": "x+3"},
+    {"r": 1, "s": 3, "f2": [1] * (polytext.MAX_LENGTH + 2), "g2": [1]},
+]).map(lambda v: json.dumps(v).encode())
+
+raw_bytes = st.one_of(
+    st.binary(max_size=40),
+    st.binary(max_size=40).map(lambda b: b'{"r": 1, "s": \xff' + b),
+    st.sampled_from([1, 50, 5000, 100_000]).map(lambda k: b"[" * k + b"]" * k),
+    st.sampled_from([50, 5000]).map(
+        lambda k: b'{"r": ' + b"[" * k + b"]" * k + b', "s": 1}'),
+    st.just(b'{"r": 1' + b"0" * 5000 + b', "s": 1}'))
+
+spec_commands = st.tuples(
+    st.sampled_from([["analyze"], ["analyze", "--format", "csv"], ["dual"],
+                     ["dual", "--method", "free"], ["dual", "--method", "brute"]]),
+    # flatmap over sampled_from draws each kind about equally often
+    st.sampled_from([valid_specs(), wrong_specs, past_bound_specs, raw_bytes])
+    .flatmap(lambda kind: kind))
+
+search_lengths = st.one_of(
+    st.sampled_from([1, 3]),
+    st.sampled_from([-3, 0, 4, 4095, 32767, 65535, *PAST_BOUND])).map(str)
+search_commands = st.tuples(
+    search_lengths, search_lengths,
+    st.sampled_from(["i", "ii", "iii", "i,ii", "ii,iii", "iv"]),
+    st.sampled_from(["0", "1"]), st.sampled_from(["json", "csv"])).map(
+    lambda t: ["search", t[0], t[1], "--forms", t[2],
+               "--max-l-degree", t[3], "--format", t[4]])
+
+
+def check_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([*argv, "--max-enum", "4096", "--no-timing"])
+    assert rc in (0, 1, 2, 3), err.getvalue()
+    event(f"exit {rc}")
+    if rc:
+        error = json.loads(err.getvalue())["error"]
+        assert isinstance(error["type"], str) and isinstance(error["message"], str)
+        assert out.getvalue() == ""
+        event(f"exit {rc}: {error['type']}")
+
+
+@settings(max_examples=200)
+@given(command=spec_commands)
+def test_fuzzed_spec_file_exits_with_an_error_object(tmp_path_factory, command):
+    argv, raw = command
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(raw)
+    check_exit([argv[0], str(path), *argv[1:]])
+
+
+@settings(max_examples=60)
+@given(argv=search_commands)
+def test_fuzzed_search_exits_with_an_error_object(argv):
+    check_exit(argv)

@@ -370,7 +370,7 @@ class TestCanonicalizeIdeal:
         assert_canonical_pair_spans(spanning, 3)
 
     def test_factoring_is_cached_per_length(self):
-        # Berlekamp runs once per n, however many ideals are canonicalized
+        # x^n-1 is factored once per n, however many ideals are canonicalized
         f2.factor_cyclic.cache_clear()
         code.canonicalize_ideal([parse("x+3")], 15)
         code.canonicalize_ideal([zp.scale(2, parse("x^4+x+1"))], 15)

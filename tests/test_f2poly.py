@@ -1,14 +1,18 @@
 """Binary polynomial layer: gcd/xgcd and the x^n-1 factorization."""
 
+import functools
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    all_polys,
     check_memoized,
     check_rejected_again,
     gcd_f2_oracle,
+    is_irreducible_rabin,
     memoized_names,
+    naive_mul,
 )
 from z4dc import f2poly as fp
 from z4dc.errors import BothZero, EvenLength
@@ -51,17 +55,16 @@ class TestGcd:
             assert g == fp.gcd(a, b) if (a or b) else True
 
 
-def _is_irreducible_oracle(p):
-    """Trial division by every lower-degree candidate."""
-    d = fp.degree(p)
-    if d <= 0:
-        return False
-    for q in all_polys(d, alphabet=2):
-        if fp.degree(q) < 1 or fp.degree(q) >= d:
-            continue
-        if fp.polymod(p, q) == ():
-            return False
-    return True
+# irreducible polynomials of degree 1..8 over F2, by Gauss's formula
+# (1/d) sum_{e | d} mu(d/e) 2^e
+IRREDUCIBLE_COUNTS = [2, 1, 2, 3, 6, 9, 18, 30]
+
+
+def test_rabin_oracle_counts_the_irreducibles():
+    counts = [sum(is_irreducible_rabin(low + (1,))
+                  for low in product((0, 1), repeat=d))
+              for d in range(1, 9)]
+    assert counts == IRREDUCIBLE_COUNTS
 
 
 class TestFactorCyclic:
@@ -93,16 +96,30 @@ class TestFactorCyclic:
         with pytest.raises(EvenLength, match="positive odd integer"):
             fp.factor_cyclic(n)
 
-    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 15, 17, 21, 23])
+    @pytest.mark.parametrize("n", range(1, 128, 2))
     def test_factors_distinct_irreducible_and_multiply_back(self, n):
         facs = fp.factor_cyclic(n)
-        assert len(facs) == len(set(facs))
-        prod = fp.ONE
+        assert (sorted(fp.degree(f) for f in facs)
+                == sorted(len(c) for c in fp.cyclotomic_cosets(n)))
+        # over Z4 then mod 2: the product mod 2 of the integer product
+        assert fp.canon(functools.reduce(naive_mul, facs)) == fp.xn_plus_1(n)
         for f in facs:
-            prod = fp.mul(prod, f)
-            if fp.degree(f) <= 11:
-                assert _is_irreducible_oracle(f), f
-        assert prod == fp.xn_plus_1(n)
+            assert is_irreducible_rabin(f), f
+
+    @pytest.mark.parametrize("n", [0, -1, 4])
+    def test_cosets_of_a_non_odd_length_rejected(self, n):
+        with pytest.raises(EvenLength, match="positive odd integer"):
+            fp.cyclotomic_cosets(n)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 1000).map(lambda k: 2 * k + 1))
+    def test_cosets_partition_and_are_closed_under_doubling(self, n):
+        cosets = fp.cyclotomic_cosets(n)
+        assert sorted(i for c in cosets for i in c) == list(range(n))
+        for c in cosets:
+            assert {2 * i % n for i in c} == set(c)
+            assert c[0] == min(c)
+        assert [c[0] for c in cosets] == sorted(c[0] for c in cosets)
 
     def test_n63_structure(self):
         facs = fp.factor_cyclic(63)
