@@ -356,6 +356,17 @@ def code_size(c: DoubleCyclicCode) -> int:
     return 4 ** (c.r + c.s - c.t1 - c.r1) * 2 ** (c.t1 + c.r1 - c.t2 - c.r2)
 
 
+def check_enum_cap(c: DoubleCyclicCode, cap: int) -> int:
+    """code_size(c), or EnumerationCapExceeded when it exceeds cap.  The
+    message names the size as the power of two that every code size is
+    (4^a * 2^b), so no size is too large to print."""
+    size = code_size(c)
+    if size > cap:
+        raise EnumerationCapExceeded(
+            f"code size 2^{size.bit_length() - 1} exceeds cap {cap}")
+    return size
+
+
 @functools.lru_cache(maxsize=64)
 def _generator_howell(c: DoubleCyclicCode) -> linalg.HowellForm:
     return linalg.howell(generator_matrix(c))
@@ -419,9 +430,7 @@ def enumerate_codewords(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
     Yields exactly code_size(c) distinct vectors over the full range;
     disjoint sub-ranges may be consumed by parallel workers.
     """
-    size = code_size(c)
-    if size > cap:
-        raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
+    size = check_enum_cap(c, cap)
     stop = size if stop is None else stop
     be = BlockEnumerator(*enumeration_basis(c), c.r + c.s)
     words = None

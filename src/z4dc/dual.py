@@ -10,7 +10,9 @@ reads the kernel rows off the certified dual's Howell form, which is
 canonical and so equals the kernel's.  The Z4-level gcd of F1 and l is
 the Hensel lift of their residue gcd (residue_gcd; the residue divides
 x^r-1 with r odd, so the lift exists and is unique); that convention is
-what makes the closed-form dual arithmetic come out exactly.
+what makes the closed-form dual arithmetic come out exactly.  The
+residue checks read the residue generators of C-perp off the certified
+dual's generators mod 2, with no F2 row reduction.
 """
 
 from __future__ import annotations
@@ -320,7 +322,7 @@ def dual_report(c: DoubleCyclicCode, method: str = "auto",
 
 @dataclass(frozen=True)
 class ResidueDualCheck:
-    """Extracted residue dual generators and the verified relations.
+    """The residue dual generators and the verified relations.
 
     Pure verification: failed relations are reported as False findings,
     never raised.
@@ -349,14 +351,20 @@ class ResidueDualCheck:
 
 
 def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
-                       dual_code: DoubleCyclicCode | None = None) -> ResidueDualCheck:
+                       dual_code: DoubleCyclicCode) -> ResidueDualCheck:
     """Verify everything the residue-level duality theory states.
 
-    Extracts the binary dual generators from dual_span mod 2, then
+    Reads the binary generators of Res(C-perp) off the certified dual
+    dual_code = <(F1_hat|0), (l_hat|F2_hat)>.  Reduction mod 2 sends
+    module generators to module generators, so Res(C-perp) is generated
+    by (f1_hat mod 2|0) and (l_hat mod 2|f2_hat mod 2), and (a|0) lies
+    in it iff a is in the ideal of f1_hat and h2_hat * l_hat mod 2,
+    h2_hat = (x^s+1)/f2_hat (Pless and Qian, IEEE-IT 42(5), 1996).  The
+    right generator is also read off the rows of dual_span mod 2 and
+    must agree with the dual's (right_projection_generated).  Then
     checks the reciprocal formulas for the residue generators, the
     degree identities, the nubar congruence, and the Z4-lifted
-    divisibility relations (with their lambda/mu/nu witnesses) when the
-    dual's polynomial generators are supplied.
+    divisibility relations with their lambda/mu/nu witnesses.
 
     The F2_hat formula uses gcd(F1bar, lbar) in the numerator: the
     stated relation is exactly what the witness derivation produces and
@@ -366,22 +374,18 @@ def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
     k = math.lcm(r, s)
     checks: dict[str, bool] = {}
 
-    # right projection ideal over F2
+    # residue generators of the dual, by the theorem above, from its
+    # generators mod 2; the sentinels need no special case (an absent
+    # left generator reduces to x^r+1, an absent right one gives
+    # h2_hat = 1 with l_hat = 0)
+    f1d, ld, f2d = (reduce_mod2(p) for p in (dual_code.f1, dual_code.l, dual_code.f2))
+    h2d = f2poly.polydivmod(f2poly.xn_plus_1(s), f2d)[0]
+    F1bar_hat = f2poly.cyclic_gcd((f1d, f2poly.mul(h2d, ld)), r)
+    lbar_hat = f2poly.polymod(ld, F1bar_hat)
+    # right projection ideal of the span's rows over F2
     F2bar_hat = f2poly.cyclic_gcd(
         [f2poly.canon(row[r:]) for row in dual_span.rows], s)
-    # rows with vanishing right block generate the (c|0) residue subcode;
-    # bitmask rows carry the right block in bits [0, s), the left above
-    right = (1 << s) - 1
-    basis, pivots = f2poly.rref(
-        f2poly.to_bits(row[r:] + row[:r]) for row in dual_span.rows)
-    F1bar_hat = f2poly.cyclic_gcd(
-        [f2poly.from_bits(b >> s) for b in basis if not b & right], r)
-    # left completion of the right generator (the zero-projection case
-    # reduces the sentinel generator x^s+1 to the zero vector)
-    target = f2poly.to_bits(f2poly.polymod(F2bar_hat, f2poly.xn_plus_1(s)))
-    resid = f2poly.reduce_row(target, basis, pivots)
-    lbar_hat = f2poly.polymod(f2poly.from_bits(resid >> s), F1bar_hat)
-    checks["right_projection_generated"] = not resid & right
+    checks["right_projection_generated"] = F2bar_hat == f2d
 
     F1bar = reduce_mod2(c.F1)
     F2bar = reduce_mod2(c.F2)
@@ -426,22 +430,20 @@ def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
             checks["nubar_congruence"] = f2poly.polymod(lhs, mbar) == f2poly.ZERO
 
     # Z4-lifted divisibility relations of the generator theory
-    lambda_z4 = mu_z4 = nu_z4 = None
-    if dual_code is not None:
-        def quotient(a: Poly, b: Poly) -> Poly | None:
-            """a / b over Z4 when b divides a exactly, else None."""
-            q, rem = divmod_monic(a, b)
-            return None if rem else q
+    def quotient(a: Poly, b: Poly) -> Poly | None:
+        """a / b over Z4 when b divides a exactly, else None."""
+        q, rem = divmod_monic(a, b)
+        return None if rem else q
 
-        d1 = hensel_lift(dbar, r)
-        lambda_z4 = quotient(mul(reciprocal(dual_code.f1), d1), xn_minus_1(r))
-        checks["F1_hat_star_annihilates_gcd"] = lambda_z4 is not None
-        mu_z4 = quotient(mul(reciprocal(dual_code.f2), mul(c.f1, c.f2)),
-                         mul(xn_minus_1(s), d1))
-        checks["F2_hat_star_multiple_relation"] = mu_z4 is not None
-        nu_z4 = ZERO if dual_code.l == ZERO else quotient(
-            mul(reciprocal(dual_code.l), c.f1), xn_minus_1(r))
-        checks["l_hat_star_annihilates_F1"] = nu_z4 is not None
+    d1 = hensel_lift(dbar, r)
+    lambda_z4 = quotient(mul(reciprocal(dual_code.f1), d1), xn_minus_1(r))
+    checks["F1_hat_star_annihilates_gcd"] = lambda_z4 is not None
+    mu_z4 = quotient(mul(reciprocal(dual_code.f2), mul(c.f1, c.f2)),
+                     mul(xn_minus_1(s), d1))
+    checks["F2_hat_star_multiple_relation"] = mu_z4 is not None
+    nu_z4 = ZERO if dual_code.l == ZERO else quotient(
+        mul(reciprocal(dual_code.l), c.f1), xn_minus_1(r))
+    checks["l_hat_star_annihilates_F1"] = nu_z4 is not None
 
     return ResidueDualCheck(F1bar_hat, lbar_hat, F2bar_hat, nubar,
                             lambda_z4, mu_z4, nu_z4, checks)

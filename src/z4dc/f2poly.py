@@ -2,16 +2,18 @@
 
 Same representation convention as z4poly: tuples of bits, ascending
 degree, no trailing zeros, () for the zero polynomial.  Only what the
-Z4 layer needs lives here: ring ops, gcd/xgcd, F2 row reduction, and
-the factorization of the squarefree polynomial x^n - 1 (n odd), split
-by gcds with the idempotents of its 2-cyclotomic cosets.
+Z4 layer needs lives here: ring ops, gcd/xgcd, and the factorization
+of the squarefree polynomial x^n - 1 (n odd), split by gcds with the
+idempotents of its 2-cyclotomic cosets.  Binary codes are handled by
+their generator polynomials (cyclic_gcd), so no F2 row reduction runs.
 
 Every function is pure.  The ring ops, division, gcd and x^n + 1 are
 memoized with bounded caches of CACHE_SIZE entries each (z4poly shares
 the bound), because the codes of a search or a dual population are
 built from the same few divisors of x^n - 1 and repeat the same
 products and divisions; so callers pass tuples, which are hashable.
-An exception is never cached: a rejected call raises again.
+An exception is never cached: a rejected call raises again.  gcd
+caches its result only; its Euclid steps bypass the division cache.
 """
 
 from __future__ import annotations
@@ -92,8 +94,10 @@ def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; not both arguments may be zero."""
     if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
+    # the undecorated division: the remainders of one Euclid run recur
+    # in no other call, and would only crowd polydivmod's cache
     while b:
-        a, b = b, polymod(a, b)
+        a, b = b, polydivmod.__wrapped__(a, b)[1]
     return a  # nonzero over F2 is automatically monic
 
 
@@ -116,45 +120,6 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         s0, s1 = s1, add(s0, mul(q, s1))
         t0, t1 = t1, add(t0, mul(q, t1))
     return r0, s0, t0
-
-
-def to_bits(v) -> int:
-    """Bitmask of a 0/1 vector (or bit polynomial): bit i is entry i mod 2."""
-    return sum((b & 1) << i for i, b in enumerate(v))
-
-
-def from_bits(x: int) -> Poly:
-    """The polynomial whose coefficient i is bit i of x."""
-    return tuple((x >> i) & 1 for i in range(x.bit_length()))
-
-
-def reduce_row(v: int, basis: list[int], pivots: list[int]) -> int:
-    """Reduce a bitmask row against a reduced echelon basis; the result
-    is zero iff v lies in the span."""
-    for p, b in zip(pivots, basis):
-        if v >> p & 1:
-            v ^= b
-    return v
-
-
-def rref(rows) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form over F2 of bitmask rows.
-
-    Returns (basis, pivots) sorted by pivot column, where a row's pivot
-    is its lowest set bit and every pivot column is clear in all other
-    rows; the basis is therefore canonical for the span.
-    """
-    basis: list[int] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = reduce_row(row, basis, pivots)
-        if row:
-            p = (row & -row).bit_length() - 1
-            basis = [b ^ row if b >> p & 1 else b for b in basis]
-            basis.append(row)
-            pivots.append(p)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [basis[i] for i in order], [pivots[i] for i in order]
 
 
 def cyclotomic_cosets(n: int) -> list[list[int]]:
@@ -199,7 +164,10 @@ def factor_cyclic(n: int) -> frozenset[Poly]:
     for coset in sorted(cosets, key=len):
         if len(factors) == len(cosets):
             break
-        v = from_bits(sum(1 << i for i in coset))
+        bits = [0] * (max(coset) + 1)
+        for i in coset:
+            bits[i] = 1
+        v = tuple(bits)
         out: list[Poly] = []
         for u in factors:
             g = gcd(u, v)

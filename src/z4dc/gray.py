@@ -43,6 +43,7 @@ from .code import (
     DEFAULT_ENUM_CAP,
     LO,
     DoubleCyclicCode,
+    check_enum_cap,
     code_size,
     contains,
     enumeration_basis,
@@ -52,7 +53,6 @@ from .code import (
 )
 from .errors import (
     DimensionMismatch,
-    EnumerationCapExceeded,
     InternalCheckFailed,
     ZeroCode,
 )
@@ -194,9 +194,7 @@ def lee_enumerator(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
     words with |C| > 2^(r+s) enumerates its kernel, C-perp, and
     transforms (module docstring); every other code is enumerated directly.
     """
-    size = code_size(c)
-    if size > cap:
-        raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
+    size = check_enum_cap(c, cap)
     n = c.r + c.s
     if size > DIRECT_MAX and size > 1 << n:
         kernel = linalg.kernel(generator_matrix(c)).rows
@@ -267,9 +265,7 @@ def gray_image_params(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
 def gray_words(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP):
     """Stream the Gray image, one 0/1 string per codeword, in
     enumeration order."""
-    size = code_size(c)
-    if size > cap:
-        raise EnumerationCapExceeded(f"code size {size} exceeds cap {cap}")
+    check_enum_cap(c, cap)
     be = BlockEnumerator(*enumeration_basis(c), c.r + c.s)
     words = image = None
     for h in range(be.nblocks):

@@ -44,16 +44,6 @@ class MatZ4:
                     f"row length {len(r)} != ncols {self.ncols}")
 
 
-def mat(rows, ncols: int | None = None) -> MatZ4:
-    """Build a MatZ4 from any iterable of rows, reducing entries mod 4."""
-    tup = tuple(tuple(c % 4 for c in r) for r in rows)
-    if ncols is None:
-        if not tup:
-            raise DimensionMismatch("ncols required for an empty matrix")
-        ncols = len(tup[0])
-    return MatZ4(tup, ncols)
-
-
 @dataclass(frozen=True)
 class HowellForm:
     """Canonical row-span form; pivots are (column, value) pairs per row."""

@@ -2,10 +2,10 @@
 
 The oracles here are deliberately naive re-implementations (longhand
 convolution, exhaustive span enumeration, exhaustive Gray-image
-closure, shift-by-shift inner products) kept separate from the library
-paths they check, plus quantities that only the tests evaluate: the
-size of a Howell span, the inverse Gray map, and those of the
-projection-size lemma.
+closure, shift-by-shift inner products, F2 row reduction) kept
+separate from the library paths they check, plus quantities that only
+the tests evaluate: the size of a Howell span, the inverse Gray map,
+and those of the projection-size lemma.
 """
 
 from __future__ import annotations
@@ -98,6 +98,73 @@ def check_rejected_again(fn, args, exc):
         with pytest.raises(exc):
             fn(*args)
     assert fn.cache_info().currsize == 0
+
+
+# -- matrices and F2 row reduction -----------------------------------------
+
+
+def mat(rows, ncols):
+    """A MatZ4 of the rows, entries reduced mod 4."""
+    return linalg.MatZ4(tuple(tuple(c % 4 for c in r) for r in rows), ncols)
+
+
+def to_bits(v) -> int:
+    """Bitmask of a 0/1 vector (or bit polynomial): bit i is entry i mod 2."""
+    return sum((b & 1) << i for i, b in enumerate(v))
+
+
+def from_bits(x: int):
+    """The polynomial whose coefficient i is bit i of x."""
+    return tuple((x >> i) & 1 for i in range(x.bit_length()))
+
+
+def reduce_row(v: int, basis: list[int], pivots: list[int]) -> int:
+    """Reduce a bitmask row against a reduced echelon basis; the result
+    is zero iff v lies in the span."""
+    for p, b in zip(pivots, basis):
+        if v >> p & 1:
+            v ^= b
+    return v
+
+
+def rref(rows) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over F2 of bitmask rows.
+
+    Returns (basis, pivots) sorted by pivot column, where a row's pivot
+    is its lowest set bit and every pivot column is clear in all other
+    rows; the basis is therefore canonical for the span.
+    """
+    basis: list[int] = []
+    pivots: list[int] = []
+    for row in rows:
+        row = reduce_row(row, basis, pivots)
+        if row:
+            p = (row & -row).bit_length() - 1
+            basis = [b ^ row if b >> p & 1 else b for b in basis]
+            basis.append(row)
+            pivots.append(p)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
+def residue_generators_by_elimination(span, r, s):
+    """(F1bar_hat, lbar_hat, F2bar_hat) of the binary double cyclic code
+    that the rows of span reduce to mod 2, by F2 elimination: the right
+    generator is the gcd of the right blocks, the left one that of the
+    rows with a vanishing right block in the echelon basis (right block
+    in the low bits), and lbar_hat the left block left over when the
+    word (0|F2bar_hat) is reduced against the basis, taken mod
+    F1bar_hat."""
+    F2bar_hat = f2poly.cyclic_gcd([f2poly.canon(row[r:]) for row in span.rows], s)
+    right = (1 << s) - 1
+    basis, pivots = rref(to_bits(row[r:] + row[:r]) for row in span.rows)
+    F1bar_hat = f2poly.cyclic_gcd(
+        [from_bits(b >> s) for b in basis if not b & right], r)
+    # the sentinel x^s+1 reduces to the zero word
+    target = to_bits(f2poly.polymod(F2bar_hat, f2poly.xn_plus_1(s)))
+    resid = reduce_row(target, basis, pivots)
+    assert not resid & right, "the span does not hold (lbar_hat|F2bar_hat)"
+    return F1bar_hat, f2poly.polymod(from_bits(resid >> s), F1bar_hat), F2bar_hat
 
 
 # -- exhaustive span oracle ----------------------------------------------

@@ -1,5 +1,6 @@
 """The package's public name list, its acyclic module graph, and no
-dead imports, bare asserts or unbounded caches in its modules."""
+dead imports, dead definitions, bare asserts or unbounded caches in its
+modules."""
 
 import ast
 import graphlib
@@ -41,6 +42,46 @@ def test_unused_import_check_flags_a_dead_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _referenced_names(node) -> set[str]:
+    """The names a statement refers to: bare names, attribute names and
+    imported names."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.split(".")[-1])
+    return names
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of the given modules (stem to
+    source) whose name no other top-level statement of any of them
+    refers to; the package's own exports are imports of its __init__,
+    so they count."""
+    defs, refs = [], []
+    for stem, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((stem, i, stmt.name))
+            refs.append(((stem, i), _referenced_names(stmt)))
+    return [f"{stem}.{name}" for stem, i, name in defs
+            if not any(name in names for key, names in refs if key != (stem, i))]
+
+
+def test_dead_definition_check_flags_a_planted_one():
+    sources = {"a": "def used(): pass\ndef dead(): return dead()\nclass Kept: pass\n",
+               "b": "from a import used\nimport a\nx = a.Kept\n"}
+    assert dead_definitions(sources) == ["a.dead"]
+
+
+def test_no_dead_top_level_definitions():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert dead_definitions(sources) == []
 
 
 def bare_asserts(source: str) -> list[int]:

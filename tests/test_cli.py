@@ -330,8 +330,7 @@ class TestInputContract:
         rc, err = self.run_spec(tmp_path, capsys,
                                 {"r": 7151, "s": 1, "f1": "1", "g1": "1"})
         assert (rc, err["type"]) == (3, "EnumerationCapExceeded")
-        with exact_ints():
-            assert f"code size {4 ** 7151} exceeds" in err["message"]
+        assert err["message"].startswith("code size 2^14302 exceeds cap ")
 
     def test_spec_integer_past_the_digit_limit(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (brute_span, code_engine, counter_words, ideal_rows,
-                      naive_mul, random_code, random_poly, span_size)
+                      mat, naive_mul, random_code, random_poly, span_size)
 from z4dc import code, f2poly as f2, linalg as la, z4poly as zp
 from z4dc.code import (
     CodeVector,
@@ -353,7 +353,7 @@ def assert_canonical_pair_spans(spanning, n):
     assert zp.divides(g, f) and zp.divides(f, zp.xn_minus_1(n))
     rows = [row for w in spanning for row in ideal_rows(w, n)]
     F = zp.add(f, zp.scale(2, g))
-    assert la.span_equal(la.mat(rows, n), la.mat(ideal_rows(F, n), n))
+    assert la.span_equal(mat(rows, n), mat(ideal_rows(F, n), n))
 
 
 class TestCanonicalizeIdeal:
@@ -423,7 +423,7 @@ def ideal_members(draw):
 @given(ideal_members())
 def test_in_ideal_matches_howell_membership(case):
     n, f, g, w = case
-    h = la.howell(la.mat(ideal_rows(zp.add(f, zp.scale(2, g)), n), n))
+    h = la.howell(mat(ideal_rows(zp.add(f, zp.scale(2, g)), n), n))
     assert code.in_ideal(f, g, w) == la.membership(h, code.poly_to_vec(w, n))
 
 

@@ -10,6 +10,7 @@ from conftest import (
     gcd_convention_faithful,
     projection_size,
     random_code,
+    residue_generators_by_elimination,
     span_size,
 )
 from z4dc import dual, linalg as la, z4poly as zp, f2poly as fp
@@ -347,6 +348,49 @@ class TestResidueDualCheck:
         chk = dual.residue_dual_check(c, K, dual_code=brep.dual)
         assert not chk.checks["F2_hat_reciprocal_formula"]
         assert not chk.checks["F2_hat_degree"]
+
+
+    def test_residue_generators_match_the_elimination_oracle(self, rng):
+        """The residue generators read off the certified dual equal those
+        that F2 elimination extracts from the kernel rows mod 2, over a
+        seeded population of all three cases, non-free codes and
+        2-torsion mixing polynomials (primal and dual) included; the
+        closed-form dual, where it applies, gives the same ones."""
+        seen = {"i": 0, "ii": 0, "iii": 0, "non-free": 0, "closed-form": 0,
+                "2-torsion l": 0, "2-torsion l_hat": 0}
+        for _ in range(300):
+            c = random_code(rng, max_size=2 ** 16)
+            K, brep = dual.dual_brute_force(c)
+            expected = residue_generators_by_elimination(K, c.r, c.s)
+            duals = [brep.dual]
+            if c.is_free:
+                try:
+                    duals.append(dual.dual_free(c).dual)
+                    seen["closed-form"] += 1
+                except (NotFree, NotInvertible):
+                    pass
+            for d in duals:
+                chk = dual.residue_dual_check(c, K, d)
+                assert (chk.F1bar_hat, chk.lbar_hat, chk.F2bar_hat) == expected, \
+                    spec_dict(c)
+                assert chk.checks["right_projection_generated"]
+            seen[c.case] += 1
+            seen["non-free"] += not c.is_free
+            for name, l in (("2-torsion l", c.l), ("2-torsion l_hat", brep.dual.l)):
+                seen[name] += l != () and zp.reduce_mod2(l) == ()
+        assert min(seen.values()) >= 20, seen
+
+    def test_right_projection_disagreement_is_a_finding(self):
+        # the kernel of the full space is zero, so its right blocks
+        # generate x^9+1, while the (3,9) pair's dual has f2_hat = x+3
+        c = pair_3_9()
+        _, brep = dual.dual_brute_force(c)
+        K, _ = dual.dual_brute_force(
+            validate(3, 9, f1=(1,), g1=(1,), f2=(1,), g2=(1,)))
+        chk = dual.residue_dual_check(c, K, brep.dual)
+        assert chk.F2bar_hat == fp.xn_plus_1(9)
+        assert not chk.checks["right_projection_generated"]
+        assert not chk.all_ok()
 
 
 class TestProjections:

@@ -44,6 +44,15 @@ class TestGcd:
                 continue
             assert fp.gcd(a, b) == gcd_f2_oracle(a, b)
 
+    def test_leaves_no_remainders_in_the_division_cache(self):
+        # gcd memoizes its result; the remainders of its Euclid run
+        # (here x^15+1 against a degree-13 polynomial) are not cached
+        a, b = fp.xn_plus_1(15), (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1)
+        fp.gcd.cache_clear()
+        fp.polydivmod.cache_clear()
+        assert fp.gcd(a, b) == gcd_f2_oracle(a, b)
+        assert fp.polydivmod.cache_info().currsize == 0
+
     def test_xgcd_bezout(self, rng):
         for _ in range(300):
             a = fp.canon(rng.randrange(2) for _ in range(rng.randrange(1, 10)))

@@ -107,6 +107,19 @@ class TestLeeEnumerator:
         with pytest.raises(EnumerationCapExceeded):
             gray.lee_enumerator(kerdock(), cap=100)
 
+    @pytest.mark.parametrize("entry", [
+        gray.lee_enumerator,
+        lambda c: next(code.enumerate_codewords(c)),
+        lambda c: next(gray.gray_words(c)),
+    ], ids=["lee_enumerator", "enumerate_codewords", "gray_words"])
+    def test_cap_names_a_huge_size_exactly(self, entry):
+        # |C| = 4^7151 has 4306 digits, past Python's default int-to-string
+        # limit; the message names it as the power of two it is
+        c = code.from_spec_dict({"r": 7151, "s": 1, "f1": "1", "g1": "1"})
+        with pytest.raises(EnumerationCapExceeded,
+                           match=r"^code size 2\^14302 exceeds cap 67108864$"):
+            entry(c)
+
     def test_jobs_bit_identical(self):
         c = code_32_1024_12()
         assert gray.lee_enumerator(c, jobs=1).counts == \

@@ -5,30 +5,30 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_span, span_size
+from conftest import brute_span, mat, span_size
 from z4dc import linalg as la
 from z4dc.errors import DimensionMismatch
 
 
 class TestHowell:
     def test_zero_matrix(self):
-        h = la.howell(la.mat([(0, 0), (0, 0)], 2))
+        h = la.howell(mat([(0, 0), (0, 0)], 2))
         assert h.matrix.rows == () and span_size(h) == 1
 
     def test_single_two(self):
-        h = la.howell(la.mat([(2,)], 1))
+        h = la.howell(mat([(2,)], 1))
         assert h.pivots == ((0, 2),)
         assert span_size(h) == 2
         assert la.membership(h, (2,)) and not la.membership(h, (1,))
 
     def test_mixed_rows_span_eight(self):
         rows = [(1, 1), (0, 2)]
-        h = la.howell(la.mat(rows, 2))
+        h = la.howell(mat(rows, 2))
         assert span_size(h) == len(brute_span(rows, 2)) == 8
 
     def test_howell_closure_row_appears(self):
         # span of (2,1) contains (0,2) = 2*(2,1); Howell must expose it
-        h = la.howell(la.mat([(2, 1)], 2))
+        h = la.howell(mat([(2, 1)], 2))
         assert h.matrix.rows == ((2, 1), (0, 2))
 
     def test_idempotent_and_canonical(self, rng):
@@ -36,25 +36,25 @@ class TestHowell:
             n = rng.randrange(1, 6)
             rows = [tuple(rng.randrange(4) for _ in range(n))
                     for _ in range(rng.randrange(1, 4))]
-            m = la.mat(rows, n)
+            m = mat(rows, n)
             h = la.howell(m)
             assert la.howell(h.matrix) == h
             # invariance under span-preserving row operations
             permuted = list(rows)
             rng.shuffle(permuted)
-            assert la.howell(la.mat(permuted, n)) == h
+            assert la.howell(mat(permuted, n)) == h
             scaled = [tuple((3 * c) % 4 for c in rows[0])] + rows[1:]
-            assert la.howell(la.mat(scaled, n)) == h
+            assert la.howell(mat(scaled, n)) == h
             if len(rows) >= 2:
                 added = [tuple((a + b) % 4 for a, b in zip(rows[0], rows[1]))]
-                assert la.howell(la.mat(rows + added, n)) == h
+                assert la.howell(mat(rows + added, n)) == h
 
     def test_span_preserved_and_sized(self, rng):
         for _ in range(200):
             n = rng.randrange(1, 7)
             rows = [tuple(rng.randrange(4) for _ in range(n))
                     for _ in range(rng.randrange(1, 4))]
-            h = la.howell(la.mat(rows, n))
+            h = la.howell(mat(rows, n))
             sp = brute_span(rows, n)
             assert span_size(h) == len(sp)
             for row in rows:
@@ -78,7 +78,7 @@ def z4_matrices(draw):
 @given(z4_matrices(), st.data())
 def test_howell_meets_its_definition_and_spans_the_rows(case, data):
     rows, n = case
-    h = la.howell(la.mat(rows, n))
+    h = la.howell(mat(rows, n))
     out = h.matrix.rows
     # (a) nonzero rows, pivot = first nonzero entry, strictly increasing
     leads = [next(j for j, x in enumerate(row) if x) for row in out]
@@ -104,22 +104,22 @@ def test_howell_meets_its_definition_and_spans_the_rows(case, data):
 
 class TestMembership:
     def test_zero_vector(self, rng):
-        h = la.howell(la.mat([(1, 2, 3)], 3))
+        h = la.howell(mat([(1, 2, 3)], 3))
         assert la.membership(h, (0, 0, 0))
 
     def test_outside_two_ideal(self):
-        h = la.howell(la.mat([(2, 0)], 2))
+        h = la.howell(mat([(2, 0)], 2))
         assert not la.membership(h, (1, 0))
 
     def test_dimension_mismatch(self):
-        h = la.howell(la.mat([(1, 0)], 2))
+        h = la.howell(mat([(1, 0)], 2))
         with pytest.raises(DimensionMismatch):
             la.membership(h, (1, 0, 0))
 
     def test_exhaustive_oracle(self, rng):
         for _ in range(40):
             rows = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(2)]
-            h = la.howell(la.mat(rows, 4))
+            h = la.howell(mat(rows, 4))
             sp = brute_span(rows, 4)
             for v in product(range(4), repeat=4):
                 assert la.membership(h, v) == (v in sp)
@@ -128,7 +128,7 @@ class TestMembership:
 class TestCosetRepresentative:
     def test_odd_entry_at_a_two_pivot_column(self):
         # (1,0) and (3,3) differ by (2,3) = (2,1) + (0,2), in the span
-        h = la.howell(la.mat([(2, 1)], 2))
+        h = la.howell(mat([(2, 1)], 2))
         assert la.coset_representative(h, (1, 0)) == \
             la.coset_representative(h, (3, 3)) == (1, 0)
 
@@ -140,7 +140,7 @@ def test_kernel_rows_are_the_howell_form_of_the_kernel(case):
     form, so kernels compare by their rows (dual_brute_force relies on
     this)."""
     rows, n = case
-    k = la.kernel(la.mat(rows, n))
+    k = la.kernel(mat(rows, n))
     assert la.howell(k).matrix.rows == k.rows
     annihilated = {v for v in product(range(4), repeat=n)
                    if all(sum(a * b for a, b in zip(row, v)) % 4 == 0
@@ -150,11 +150,11 @@ def test_kernel_rows_are_the_howell_form_of_the_kernel(case):
 
 class TestKernel:
     def test_identity_kernel_trivial(self):
-        k = la.kernel(la.mat([(1, 0), (0, 1)], 2))
+        k = la.kernel(mat([(1, 0), (0, 1)], 2))
         assert span_size(la.howell(k)) == 1
 
     def test_two_kernel(self):
-        k = la.kernel(la.mat([(2,)], 1))
+        k = la.kernel(mat([(2,)], 1))
         assert span_size(la.howell(k)) == 2
 
     def test_empty_matrix_kernel_is_everything(self):
@@ -166,7 +166,7 @@ class TestKernel:
             n = rng.randrange(1, 6)
             rows = [tuple(rng.randrange(4) for _ in range(n))
                     for _ in range(rng.randrange(1, 4))]
-            m = la.mat(rows, n)
+            m = mat(rows, n)
             k = la.kernel(m)
             assert span_size(la.howell(m)) * span_size(la.howell(k)) == 4 ** n
             for kr in k.rows:
@@ -179,17 +179,17 @@ class TestKernel:
 
 class TestSpanEqual:
     def test_permutation_and_scaling(self):
-        assert la.span_equal(la.mat([(1, 0)], 2), la.mat([(3, 0)], 2))
-        assert not la.span_equal(la.mat([(2, 0)], 2), la.mat([(1, 0)], 2))
+        assert la.span_equal(mat([(1, 0)], 2), mat([(3, 0)], 2))
+        assert not la.span_equal(mat([(2, 0)], 2), mat([(1, 0)], 2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            la.span_equal(la.mat([(1,)], 1), la.mat([(1, 0)], 2))
+            la.span_equal(mat([(1,)], 1), mat([(1, 0)], 2))
 
     def test_column_slice_projects_span(self, rng):
         for _ in range(60):
             rows = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(2)]
-            m = la.mat(rows, 4)
+            m = mat(rows, 4)
             sliced = la.column_slice(m, [0, 2])
             proj = {(v[0], v[2]) for v in brute_span(rows, 4)}
             assert span_size(la.howell(sliced)) == len(proj)
