@@ -10,15 +10,23 @@ to zero against the later rows.  Two matrices have equal row span iff
 their Howell forms are identical, which makes span comparison a
 structural equality test.
 
-howell is the one Z4 row reduction: a single left-to-right column
-sweep (Howell, Spans in the module (Z_m)^s, 1986; Storjohann,
-Algorithms for Matrix Canonical Forms, 2000).  (a)-(c) hold because each column is cleared
-below and reduced above its pivot once, and later pivot rows vanish in
-earlier columns.  (d) holds because every 2-pivot row p queues its
-annihilator row 2*p, which vanishes through p's pivot column, and the
-sweep reduces it against the later rows like any other pending row.
-membership, coset_representative, kernel and span_equal all read its
-output; kernel returns a Howell form itself.
+howell is the one Z4 row reduction (Howell, Spans in the module
+(Z_m)^s, 1986; Storjohann, Algorithms for Matrix Canonical Forms,
+2000).  A row is one int with entry j in byte j, converted by bytes()
+in C, and the elimination x -= c*p is x = (x + (4-c)*p) & M3, with
+0x03 in each byte of M3 (no lane exceeds 3 + 3*3, so no carry crosses
+a byte).  Rows wait in buckets by leading column, and each column
+touches only its bucket: it takes a pivot (a unit entry, scaled to 1,
+else a 2), clears the column from the rest of the bucket and moves
+each reduced row to the bucket of its new leading column.  A 2-pivot
+row p also queues its annihilator 2*p, which vanishes through p's
+column, so (a), (b) and (d) hold when the buckets are empty.  One
+back-reduction from the last row up gives (c): a lane mask (0x03 at
+unit pivots, 0x02 at 2-pivots) jumps to the columns where a row is
+still reducible against the rows below it.  The form is canonical, so
+the rows equal those of the entry-by-entry column sweep that the tests
+keep as the oracle.  coset_representative reduces by the same masked
+step, and kernel runs the sweep on [m^T | I].
 
 All values are immutable; every function is pure.
 """
@@ -52,56 +60,76 @@ class HowellForm:
     pivots: tuple[tuple[int, int], ...]
 
 
-def _reduce(v: list[int], rows, pivots) -> list[int]:
-    """Reduce v against the Howell rows by howell's elimination
-    v -= (v[j] // pivot) * row, which clears a unit-pivot column and
-    leaves v[j] in {0, 1} at a 2-pivot column; the residue is the
-    canonical coset representative (zero iff v lies in the span)."""
-    for (j, val), row in zip(pivots, rows):
-        c = v[j] // val
-        if c:
-            for k in range(j, len(v)):
-                v[k] = (v[k] - c * row[k]) % 4
-    return v
+def _lanes(n: int) -> int:
+    """0x03 in each of n bytes: x & _lanes(n) is x mod 4 in every lane."""
+    return int.from_bytes(b"\x03" * n, "little")
+
+
+def _pack(row, m3: int) -> int:
+    """A row as one int, entry j mod 4 in byte j (m3 its _lanes mask);
+    tuple() keeps bytes() from copying an array's buffer."""
+    try:
+        return int.from_bytes(bytes(tuple(row)), "little") & m3
+    except ValueError:  # bytes() takes entries 0..255 only
+        return int.from_bytes(bytes(c % 4 for c in row), "little")
+
+
+def _lead(x: int) -> int:
+    """The column of the first nonzero byte of x > 0."""
+    return ((x & -x).bit_length() - 1) >> 3
+
+
+def _eliminate(x: int, rows: dict, mask: int, m3: int) -> int:
+    """x reduced against Howell rows {column: (row, pivot)} left to right
+    by x -= (x[j] // pivot) * row; mask holds 0x03 at the unit-pivot and
+    0x02 at the 2-pivot lanes, so x & mask marks the reducible columns."""
+    while y := x & mask:
+        j = _lead(y)
+        p, piv = rows[j]
+        x = (x + (4 - (x >> (j << 3) & 3) // piv) * p) & m3
+    return x
+
+
+def _howell_rows(xs, n: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Howell rows, as ints, and pivots of the span of the packed rows
+    xs of width n: the sweep by buckets, then the back-reduction."""
+    m3 = _lanes(n)
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for x in filter(None, xs):
+        buckets[_lead(x)].append(x)
+    out, pivots = [], []
+    for j, rows in enumerate(buckets):
+        if not rows:
+            continue
+        sh = j << 3
+        p = rows.pop(next((i for i, x in enumerate(rows) if x >> sh & 1), 0)
+                     if len(rows) > 1 else 0)
+        piv = p >> sh & 3
+        if piv == 3:
+            p, piv = 3 * p & m3, 1
+        if piv == 2:
+            rows.append(2 * p & m3)  # 0 at column j, so the step keeps it
+        for x in rows:
+            x = (x + (4 - (x >> sh & 3) // piv) * p) & m3
+            if x:
+                buckets[_lead(x)].append(x)
+        out.append(p)
+        pivots.append((j, piv))
+    below, mask = {}, 0
+    for k in range(len(out) - 1, -1, -1):
+        j, piv = pivots[k]
+        out[k] = _eliminate(out[k], below, mask, m3)
+        below[j] = (out[k], piv)
+        mask |= (4 - piv) << (j << 3)
+    return out, pivots
 
 
 def howell(m: MatZ4) -> HowellForm:
-    """Howell canonical form of the row span of m, in one column sweep.
-
-    At column j the pivot is a pending row with a unit entry there
-    (scaled by 3 if the entry is 3), else one with entry 2.  The same
-    elimination x -= (x[j] // pivot) * p then clears column j from the
-    pending rows and reduces the output rows above it modulo the pivot.
-    A 2-pivot row p queues its annihilator row 2*p, which vanishes
-    through column j, so the output is Howell-closed when the sweep ends.
-    """
-    n = m.ncols
-    pending = [list(r) for r in m.rows if any(r)]
-    out: list[list[int]] = []
-    pivots: list[tuple[int, int]] = []
-    for j in range(n):
-        if not pending:
-            break
-        i = next((i for i, r in enumerate(pending) if r[j] % 2), None)
-        if i is None:
-            i = next((i for i, r in enumerate(pending) if r[j]), None)
-            if i is None:
-                continue
-        p = pending.pop(i)
-        if p[j] == 3:
-            p = [(3 * c) % 4 for c in p]
-        piv = p[j]
-        for x in pending + out:
-            c = x[j] // piv
-            if c:
-                for k in range(j, n):
-                    x[k] = (x[k] - c * p[k]) % 4
-        out.append(p)
-        pivots.append((j, piv))
-        if piv == 2:
-            pending.append([(2 * c) % 4 for c in p])
-        pending = [r for r in pending if any(r)]
-    return HowellForm(MatZ4(tuple(map(tuple, out)), n), tuple(pivots))
+    """Howell canonical form of the row span of m, entries taken mod 4."""
+    n, m3 = m.ncols, _lanes(m.ncols)
+    out, pivots = _howell_rows([_pack(r, m3) for r in m.rows], n)
+    return HowellForm(MatZ4(tuple(tuple(x.to_bytes(n, "little")) for x in out), n),
+                      tuple(pivots))
 
 
 def membership(h: HowellForm, v) -> bool:
@@ -110,11 +138,15 @@ def membership(h: HowellForm, v) -> bool:
 
 
 def coset_representative(h: HowellForm, v) -> tuple[int, ...]:
-    """Canonical representative of v modulo the row span."""
-    if len(v) != h.matrix.ncols:
-        raise DimensionMismatch(
-            f"vector length {len(v)} != ncols {h.matrix.ncols}")
-    return tuple(_reduce([c % 4 for c in v], h.matrix.rows, h.pivots))
+    """Canonical representative of v modulo the row span: v (entries
+    taken mod 4) reduced left to right over the pivots by
+    v -= (v[j] // pivot) * row; zero iff v lies in the span."""
+    n, m3 = h.matrix.ncols, _lanes(h.matrix.ncols)
+    if len(v) != n:
+        raise DimensionMismatch(f"vector length {len(v)} != ncols {n}")
+    rows = {j: (_pack(row, m3), piv) for (j, piv), row in zip(h.pivots, h.matrix.rows)}
+    mask = sum((4 - piv) << (j << 3) for j, piv in h.pivots)
+    return tuple(_eliminate(_pack(v, m3), rows, mask, m3).to_bytes(n, "little"))
 
 
 def kernel(m: MatZ4) -> MatZ4:
@@ -127,15 +159,13 @@ def kernel(m: MatZ4) -> MatZ4:
     are the kernel's own Howell rows: two kernels are equal iff their
     rows are, and howell(kernel(m)).matrix == kernel(m).
     """
-    nr = len(m.rows)
-    aug = []
-    for i in range(m.ncols):
-        row = [m.rows[k][i] for k in range(nr)]
-        row += [1 if t == i else 0 for t in range(m.ncols)]
-        aug.append(row)
-    h = howell(MatZ4(tuple(tuple(r) for r in aug), nr + m.ncols))
-    out = tuple(r[nr:] for r in h.matrix.rows if not any(r[:nr]))
-    return MatZ4(out, m.ncols)
+    nr, n = len(m.rows), m.ncols
+    m3, shift = _lanes(nr), nr << 3
+    cols = zip(*m.rows) if nr else [()] * n
+    aug = [_pack(col, m3) | 1 << (shift + (i << 3)) for i, col in enumerate(cols)]
+    out, _ = _howell_rows(aug, nr + n)
+    return MatZ4(tuple(tuple((x >> shift).to_bytes(n, "little"))
+                       for x in out if not x & m3), n)
 
 
 def span_equal(a: MatZ4, b: MatZ4) -> bool:

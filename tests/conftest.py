@@ -2,7 +2,8 @@
 
 The oracles here are deliberately naive re-implementations (longhand
 convolution, exhaustive span enumeration, exhaustive Gray-image
-closure, shift-by-shift inner products, F2 row reduction) kept
+closure, shift-by-shift inner products, the entry-by-entry Z4 column
+sweep, F2 row reduction) kept
 separate from the library paths they check, plus quantities that only
 the tests evaluate: the size of a Howell span, the inverse Gray map,
 and those of the projection-size lemma.
@@ -100,12 +101,72 @@ def check_rejected_again(fn, args, exc):
     assert fn.cache_info().currsize == 0
 
 
-# -- matrices and F2 row reduction -----------------------------------------
+# -- matrices, the Z4 sweep oracle and F2 row reduction ---------------------
 
 
 def mat(rows, ncols):
     """A MatZ4 of the rows, entries reduced mod 4."""
     return linalg.MatZ4(tuple(tuple(c % 4 for c in r) for r in rows), ncols)
+
+
+def howell_by_sweep(m):
+    """Howell form of m by the tuple column sweep: at each column the
+    pivot is the first pending row with a unit entry there (scaled by 3
+    if it is 3), else the first with entry 2; x -= (x[j] // pivot) * p
+    clears the column from every pending row and reduces every output
+    row above it, and a 2-pivot row queues its annihilator row 2*p.
+    Entries are taken mod 4 first.  The oracle for linalg.howell, whose
+    output must be identical because the Howell form is canonical."""
+    n = m.ncols
+    pending = [[c % 4 for c in r] for r in m.rows]
+    pending = [r for r in pending if any(r)]
+    out: list[list[int]] = []
+    pivots: list[tuple[int, int]] = []
+    for j in range(n):
+        if not pending:
+            break
+        i = next((i for i, r in enumerate(pending) if r[j] % 2), None)
+        if i is None:
+            i = next((i for i, r in enumerate(pending) if r[j]), None)
+            if i is None:
+                continue
+        p = pending.pop(i)
+        if p[j] == 3:
+            p = [(3 * c) % 4 for c in p]
+        piv = p[j]
+        for x in pending + out:
+            c = x[j] // piv
+            if c:
+                for k in range(j, n):
+                    x[k] = (x[k] - c * p[k]) % 4
+        out.append(p)
+        pivots.append((j, piv))
+        if piv == 2:
+            pending.append([(2 * c) % 4 for c in p])
+        pending = [r for r in pending if any(r)]
+    return linalg.HowellForm(linalg.MatZ4(tuple(map(tuple, out)), n), tuple(pivots))
+
+
+def coset_representative_by_sweep(h, v):
+    """v reduced mod 4 against the Howell rows of h left to right by the
+    sweep's elimination v -= (v[j] // pivot) * row, entry by entry."""
+    v = [c % 4 for c in v]
+    for (j, val), row in zip(h.pivots, h.matrix.rows):
+        c = v[j] // val
+        if c:
+            for k in range(j, len(v)):
+                v[k] = (v[k] - c * row[k]) % 4
+    return tuple(v)
+
+
+def kernel_by_sweep(m):
+    """The kernel of m by the sweep on [m^T | I]: the right blocks of the
+    rows whose left block vanishes."""
+    nr, n = len(m.rows), m.ncols
+    aug = [tuple(m.rows[k][i] for k in range(nr)) + tuple(int(t == i) for t in range(n))
+           for i in range(n)]
+    h = howell_by_sweep(linalg.MatZ4(tuple(aug), nr + n))
+    return linalg.MatZ4(tuple(r[nr:] for r in h.matrix.rows if not any(r[:nr])), n)
 
 
 def to_bits(v) -> int:

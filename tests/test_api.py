@@ -1,10 +1,11 @@
-"""The package's public name list, its acyclic module graph, and no
-dead imports, dead definitions, bare asserts or unbounded caches in its
-modules."""
+"""The package's public name list, its acyclic module graph, a
+stdlib-only linalg, and no dead imports, dead definitions, bare asserts
+or unbounded caches in its modules."""
 
 import ast
 import graphlib
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,3 +217,37 @@ def test_enumeration_layers_reach_neither_dual_nor_search(module):
             reached.add(dep)
             todo.append(dep)
     assert not reached & {"dual", "search"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The modules a module imports, at any depth, that are neither in
+    the standard library nor the sibling module errors."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = ["." + (node.module or a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names
+                  if name.lstrip(".").split(".")[0] not in
+                  (("errors",) if name.startswith(".") else sys.stdlib_module_names)]
+    return found
+
+
+def test_foreign_import_check_flags_planted_ones():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "from dataclasses import dataclass\nfrom .errors import X\n"
+              "import numpy as np\nfrom . import code\nfrom .gray import y\n"
+              "def f():\n    from scipy import linalg\n")
+    assert foreign_imports(source) == ["numpy", ".code", ".gray", "scipy"]
+
+
+def test_linalg_imports_only_the_standard_library_and_errors():
+    """Howell forms back dual, which enumerates nothing: linalg must not
+    pull in numpy or any other module beyond the standard library."""
+    path = Path(z4dc.__file__).parent / "linalg.py"
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []

@@ -1,12 +1,17 @@
-"""Howell form over Z4 against exhaustive span enumeration."""
+"""Howell form over Z4 against exhaustive span enumeration and against
+the entry-by-entry column sweep."""
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_span, mat, span_size
+from conftest import (brute_span, coset_representative_by_sweep, howell_by_sweep,
+                      kernel_by_sweep, mat, span_size)
 from z4dc import linalg as la
+from z4dc.code import generator_matrix, validate
+from z4dc.dual import dual_brute_force
 from z4dc.errors import DimensionMismatch
 
 
@@ -30,6 +35,19 @@ class TestHowell:
         # span of (2,1) contains (0,2) = 2*(2,1); Howell must expose it
         h = la.howell(mat([(2, 1)], 2))
         assert h.matrix.rows == ((2, 1), (0, 2))
+
+    def test_entries_are_taken_mod_4(self):
+        def raw(*rows):  # a MatZ4 of the rows as given, not reduced by mat()
+            return la.MatZ4(rows, len(rows[0]))
+
+        assert la.howell(raw((4, 0))).matrix.rows == ()
+        assert la.span_equal(raw((4, 0)), raw((0, 0)))
+        for entry in (-1, 3):
+            h = la.howell(raw((entry, 0)))
+            assert (h.matrix.rows, h.pivots) == (((1, 0),), ((0, 1),))
+        assert la.howell(raw((5, 2))) == la.howell(raw((1, 2))) == \
+            la.howell(raw(np.array([5, 2]))) == la.howell(raw(np.array([1, 2], np.uint8)))
+        assert la.kernel(raw((4, 0))) == la.kernel(raw((0, 0)))
 
     def test_idempotent_and_canonical(self, rng):
         for _ in range(200):
@@ -59,6 +77,55 @@ class TestHowell:
             assert span_size(h) == len(sp)
             for row in rows:
                 assert la.membership(h, row)
+
+
+def raw_matrix(rng):
+    """A MatZ4 with entries not reduced mod 4: widths 0..140 (so packed
+    rows run past 64 and 128 columns), zero-row, tall (narrow widths
+    only) and wide shapes, a third all-even and a third mostly even, and
+    each entry lifted by a multiple of 4 that is often negative, lands
+    in 4..255 or reaches 256 and beyond."""
+    n = rng.choice((rng.randrange(9), rng.randrange(9, 41), rng.randrange(41, 141)))
+    shape = rng.randrange(3)
+    nr = 0 if shape == 0 or n == 0 else \
+        rng.randrange(n + 1, n + 7) if shape == 1 and n <= 16 else rng.randrange(1, min(n, 9) + 1)
+    kind = rng.randrange(3)
+    odds = (1, 3) if kind == 0 else () if kind == 1 else (1, 3) + (0, 2) * 8
+    classes = (0, 2) + odds
+    lifts = (0,) * 6 + (-4, -8, 4, 252, 256, 1024)
+
+    def entry():
+        return rng.choice(classes) + rng.choice(lifts)
+
+    return la.MatZ4(tuple(tuple(entry() for _ in range(n)) for _ in range(nr)), n)
+
+
+def test_packed_howell_kernel_and_reduction_match_the_sweep(rng):
+    """Rows and pivots equal the sweep's on 5000 raw matrices, and so do
+    the coset representatives; kernels are compared up to 40 columns,
+    where [m^T | I] is still up to 48 symbols (384 bits) wide and the
+    sweep on it stays fast."""
+    for _ in range(5000):
+        m = raw_matrix(rng)
+        h = la.howell(m)
+        oracle = howell_by_sweep(m)
+        assert (h.matrix.rows, h.pivots) == (oracle.matrix.rows, oracle.pivots)
+        if m.ncols <= 40:
+            assert la.kernel(m) == kernel_by_sweep(m)
+        v = tuple(rng.randrange(-6, 300) for _ in range(m.ncols))
+        assert la.coset_representative(h, v) == coset_representative_by_sweep(h, v)
+
+
+def test_kernel_of_a_long_generator_matrix_is_exact():
+    """The kernel dual of a non-free (127, 127) code: every kernel row
+    is orthogonal to every generator row, and the kernel and the span
+    together have 4^(r+s) words."""
+    c = validate(127, 127, f1=(3, 1), g1=(1,), l=(), f2=(3, 1), g2=(3, 1))
+    m = generator_matrix(c)
+    k, _ = dual_brute_force(c, cap=c.r + c.s)
+    assert all(sum(a * b for a, b in zip(row, kr)) % 4 == 0
+               for row in m.rows for kr in k.rows)
+    assert span_size(la.howell(k)) * span_size(la.howell(m)) == 4 ** (c.r + c.s)
 
 
 @st.composite
