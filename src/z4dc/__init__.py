@@ -13,7 +13,6 @@ from .code import (
     canonicalize_ideal,
     code_size,
     contains,
-    enumerate_codewords,
     from_spec_dict,
     generator_matrix,
     minimal_generating_set,
@@ -22,7 +21,6 @@ from .code import (
     tau,
     tau_inv,
     validate,
-    xstar_mul,
 )
 from .dual import (
     DualReport,
@@ -39,10 +37,8 @@ from .gray import (
     LeeEnumerator,
     gray_image_params,
     gray_map,
-    lee_distance,
     lee_enumerator,
     lee_weight,
-    min_lee_distance,
 )
 from .linalg import HowellForm, MatZ4, howell, kernel, membership, span_equal
 from .search import SearchReport, SearchResult, divisor_lattice
@@ -54,11 +50,10 @@ __all__ = [
     "CodeVector", "DoubleCyclicCode", "DualReport", "GrayImageParams",
     "HowellForm", "LeeEnumerator", "MatZ4", "SearchReport", "SearchResult",
     "canonicalize_ideal", "code_size", "contains", "divisor_lattice",
-    "dual_brute_force", "dual_free", "dual_report", "enumerate_codewords",
-    "from_spec_dict", "generator_matrix", "gray_image_params", "gray_map",
-    "howell", "inner_product", "kernel", "lee_distance", "lee_enumerator",
-    "lee_weight", "membership", "min_lee_distance", "minimal_generating_set",
-    "orthogonal_all_shifts", "phi_map", "residue_dual_check", "search_codes",
-    "shift_T", "span_equal", "spec_dict", "tau", "tau_inv", "validate",
-    "xstar_mul",
+    "dual_brute_force", "dual_free", "dual_report", "from_spec_dict",
+    "generator_matrix", "gray_image_params", "gray_map", "howell",
+    "inner_product", "kernel", "lee_enumerator", "lee_weight", "membership",
+    "minimal_generating_set", "orthogonal_all_shifts", "phi_map",
+    "residue_dual_check", "search_codes", "shift_T", "span_equal", "spec_dict",
+    "tau", "tau_inv", "validate",
 ]

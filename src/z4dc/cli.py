@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Subcommands: analyze, dual, verify-examples, search, gray-export.
-Output is JSON first (with --format csv for enumerators and search
-reports); identical inputs and flags produce byte-identical primary
-output once timing is excluded with --no-timing.
+Subcommands: analyze, dual, verify-examples, search, gray-export, each
+taking only the flags its handler reads.  Output is JSON first (with
+--format csv for enumerators and search reports); identical inputs and
+flags produce byte-identical output, once analyze's timing is excluded
+with --no-timing.
 
-Exit codes: 0 success, 1 I/O failure, 2 validation failure (with a
-machine-readable error object naming the violated invariant), 3
+Exit codes: 0 success, 1 I/O failure, 2 validation failure or a
+malformed command line (with a machine-readable error object naming
+the violated invariant), 3
 enumeration or dimension cap exceeded (--force lifts the caps), 4 a
 failed internal check, i.e. a bug in z4dc (same error object).
 
@@ -14,8 +16,9 @@ Sizes are printed exact.  A code of length r+s, with r and s up to
 polytext.MAX_LENGTH, has up to 4^(r+s) words, more digits than Python
 prints by default, so main lifts the interpreter's int-to-string digit
 limit while it runs.  That limit guards against quadratic conversions
-of unbounded input, so the spec's own integer literals are held to the
-default limit instead (_spec_int).
+of unbounded input, so the command line is parsed before it is lifted
+and the spec's own integer literals are held to the default limit
+(_spec_int).
 """
 
 from __future__ import annotations
@@ -55,15 +58,19 @@ ENV_MAX_ENUM = "Z4DC_MAX_ENUM"
 UNCAPPED = 1 << 62
 
 
-def _default_cap() -> int:
-    env = os.environ.get(ENV_MAX_ENUM)
-    try:
-        cap = int(env) if env else DEFAULT_ENUM_CAP
-    except ValueError:
-        raise InvalidInput(f"${ENV_MAX_ENUM} must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise InvalidInput(f"${ENV_MAX_ENUM} must be at least 1, got {cap}")
-    return cap
+def _enum_cap(max_enum: int | None, force: bool) -> int:
+    """--max-enum, else $Z4DC_MAX_ENUM, else DEFAULT_ENUM_CAP; --force
+    lifts the cap, but the variable is checked all the same."""
+    if max_enum is None:
+        env = os.environ.get(ENV_MAX_ENUM)
+        try:
+            max_enum = int(env) if env else DEFAULT_ENUM_CAP
+        except ValueError:
+            raise InvalidInput(
+                f"${ENV_MAX_ENUM} must be an integer, got {env!r}") from None
+        if max_enum < 1:
+            raise InvalidInput(f"${ENV_MAX_ENUM} must be at least 1, got {max_enum}")
+    return UNCAPPED if force else max_enum
 
 
 def _spec_int(digits: str) -> int:
@@ -110,7 +117,7 @@ def _enumerator_csv(counts: dict[int, int]) -> str:
 
 
 def cmd_analyze(args) -> int:
-    cap = UNCAPPED if args.force else args.max_enum
+    cap = _enum_cap(args.max_enum, args.force)
     t0 = time.perf_counter()
     c = from_spec_dict(_load_spec(args.spec))
     enum = gray.lee_enumerator(c, cap=cap, jobs=args.jobs)
@@ -185,7 +192,7 @@ def _claims_for_case(case: dict, cap: int, jobs: int):
 
 
 def cmd_verify_examples(args) -> int:
-    cap = UNCAPPED if args.force else args.max_enum
+    cap = _enum_cap(args.max_enum, args.force)
     failures = 0
     rows = []
     cases = [case for case in REFERENCE_CASES if args.only in (None, case["id"])]
@@ -214,10 +221,8 @@ def cmd_verify_examples(args) -> int:
 
 def cmd_search(args) -> int:
     forms = tuple(f.strip() for f in args.forms.split(",") if f.strip())
-    cap = args.max_enum if args.max_enum is not None else \
-        search_mod.DEFAULT_SEARCH_ENUM_CAP
-    if args.force:
-        cap = UNCAPPED
+    cap = UNCAPPED if args.force else \
+        args.max_enum or search_mod.DEFAULT_SEARCH_ENUM_CAP
     report = search_mod.search(
         args.r, args.s, forms=forms, max_l_degree=args.max_l_degree,
         distance_floor=args.distance_floor, enum_cap=cap,
@@ -234,7 +239,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_gray_export(args) -> int:
-    cap = UNCAPPED if args.force else args.max_enum
+    cap = _enum_cap(args.max_enum, args.force)
     c = from_spec_dict(_load_spec(args.spec))
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
@@ -243,44 +248,65 @@ def cmd_gray_export(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="PATH", help="write output here")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--max-enum", type=int, default=None,
-                        help="enumeration cap (default 2^26, or "
-                             f"${ENV_MAX_ENUM})")
-    common.add_argument("--force", action="store_true",
-                        help="lift enumeration and dimension caps")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for sharded enumeration")
-    common.add_argument("--no-timing", action="store_true",
-                        help="omit timing fields for reproducible output")
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise InvalidInput, so that
+    main reports them with the error object; --help still exits 0."""
 
-    ap = argparse.ArgumentParser(
-        prog="z4dc",
-        description="Double cyclic codes of length (r,s) over Z4")
+    def error(self, message):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
+def _positive(flag: str):
+    """The argparse type of an integer flag of at least 1."""
+    def positive_int(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise InvalidInput(f"{flag} must be at least 1, got {value}")
+        return value
+    return positive_int
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    def parent(*names, **kwargs) -> argparse.ArgumentParser:
+        p = _Parser(add_help=False)
+        p.add_argument(*names, **kwargs)
+        return p
+
+    out = parent("--out", metavar="PATH", help="write output here")
+    fmt = parent("--format", choices=("json", "csv"), default="json")
+    cap = parent("--max-enum", type=_positive("--max-enum"), default=None,
+                 help="enumeration cap (default 2^26, or "
+                      f"${ENV_MAX_ENUM}; search: 2^20 per candidate)")
+    force = parent("--force", action="store_true",
+                   help="lift enumeration and dimension caps")
+    jobs = parent("--jobs", type=_positive("--jobs"), default=1,
+                  help="worker threads for sharded enumeration")
+
+    ap = _Parser(prog="z4dc",
+                 description="Double cyclic codes of length (r,s) over Z4")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[out, fmt, cap, force, jobs],
                        help="full analysis of a code spec file")
     p.add_argument("spec", help="JSON code spec file")
+    p.add_argument("--no-timing", action="store_true",
+                   help="omit timing fields for reproducible output")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("dual", parents=[common],
+    p = sub.add_parser("dual", parents=[out, force],
                        help="dual code of a spec file")
     p.add_argument("spec")
     p.add_argument("--method", choices=("auto", "free", "brute"),
                    default="auto")
     p.set_defaults(fn=cmd_dual)
 
-    p = sub.add_parser("verify-examples", parents=[common],
+    p = sub.add_parser("verify-examples", parents=[out, cap, force, jobs],
                        help="re-derive the built-in reference parameters")
     p.add_argument("--only", type=int, default=None, metavar="N",
                    help="run only reference case N (1-5)")
     p.set_defaults(fn=cmd_verify_examples)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[out, fmt, cap, force, jobs],
                        help="exhaustive generator-space search")
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
@@ -292,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip Pareto pruning of the result list")
     p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("gray-export", parents=[common],
+    p = sub.add_parser("gray-export", parents=[out, cap, force],
                        help="emit the Gray image, one 0/1 word per line")
     p.add_argument("spec")
     p.set_defaults(fn=cmd_gray_export)
@@ -300,16 +326,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        if args.jobs < 1:
-            raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
-        if args.max_enum is not None and args.max_enum < 1:
-            raise InvalidInput(f"--max-enum must be at least 1, got {args.max_enum}")
-        if args.max_enum is None and args.command != "search":
-            args.max_enum = _default_cap()
+        args = _build_parser().parse_args(argv)
+        sys.set_int_max_str_digits(0)
         return args.fn(args)
     except (EnumerationCapExceeded, DimensionCapExceeded) as exc:
         return _error_exit(exc, 3)

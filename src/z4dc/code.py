@@ -33,7 +33,6 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -62,7 +61,6 @@ from .z4poly import (
     is_monic,
     mod_cyclic,
     mul,
-    mul_mod_cyclic,
     reduce_mod2,
     scale,
     xn_minus_1,
@@ -83,13 +81,6 @@ class CodeVector:
         return self.left + self.right
 
 
-def from_concat(v, r: int, s: int) -> CodeVector:
-    v = tuple(c % 4 for c in v)
-    if len(v) != r + s:
-        raise DimensionMismatch(f"vector length {len(v)} != r+s = {r + s}")
-    return CodeVector(v[:r], v[r:])
-
-
 def shift_T(v: CodeVector) -> CodeVector:
     """Simultaneous right rotation of both blocks by one position."""
     return CodeVector(v.left[-1:] + v.left[:-1], v.right[-1:] + v.right[:-1])
@@ -106,11 +97,6 @@ def tau_inv(pair: tuple[Poly, Poly], r: int, s: int) -> CodeVector:
         raise DegreeOverflow(
             f"degrees ({degree(p)}, {degree(q)}) do not fit lengths ({r}, {s})")
     return CodeVector(p + (0,) * (r - len(p)), q + (0,) * (s - len(q)))
-
-
-def xstar_mul(p: Poly, pair: tuple[Poly, Poly], r: int, s: int) -> tuple[Poly, Poly]:
-    """Componentwise polynomial action, reduced mod x^r-1 and x^s-1."""
-    return mul_mod_cyclic(p, pair[0], r), mul_mod_cyclic(p, pair[1], s)
 
 
 @dataclass(frozen=True)
@@ -229,12 +215,15 @@ def validate(r: int, s: int, f1: Poly | None = None, g1: Poly | None = None,
     recovery path for non-canonical generating sets).  Both mixing
     conditions are divisibility tests (in_ideal); together they make
     code_size a theorem for the validated generators, so no span is
-    computed here.  r and s are at most polytext.MAX_LENGTH.
+    computed here.  r and s are integers (not bools) of at most
+    polytext.MAX_LENGTH.
     """
     for name, n in (("r", r), ("s", s)):
-        if isinstance(n, int) and n > polytext.MAX_LENGTH:
+        if type(n) is not int:  # bool is an int subclass
+            raise InvalidInput(f"{name} must be an integer, got {n!r:.40}")
+        if n > polytext.MAX_LENGTH:
             raise InvalidInput(f"{name} must be at most {polytext.MAX_LENGTH}")
-        if not isinstance(n, int) or n < 1 or n % 2 == 0:
+        if n < 1 or n % 2 == 0:
             raise EvenLength(f"{name} must be a positive odd integer, got {n!r}")
 
     if (f1 is None) != (g1 is None):
@@ -303,9 +292,6 @@ def from_spec_dict(d: dict) -> DoubleCyclicCode:
     if not isinstance(d, dict) or not {"r", "s"} <= d.keys() <= {"r", "s", *poly_keys}:
         raise InvalidInput(f"spec must be an object with keys r, s and optionally "
                            f"f1, g1, l, f2, g2, got {d!r:.80}")
-    for key in ("r", "s"):
-        if type(d[key]) is not int:  # bool is an int subclass
-            raise InvalidInput(f"{key} must be an integer, got {d[key]!r:.40}")
     kwargs = {k: polytext.from_json(d[k]) for k in poly_keys if d.get(k) is not None}
     return validate(d["r"], d["s"], **kwargs)
 
@@ -420,25 +406,6 @@ def _lane_add_into(out: np.ndarray, x: np.ndarray, o: np.ndarray) -> np.ndarray:
     out ^= x
     out ^= o
     return out
-
-
-def enumerate_codewords(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
-                        start: int = 0, stop: int | None = None) -> Iterator[CodeVector]:
-    """Stream the codewords for indices [start, stop) in counter order,
-    decoded from the blocks of BlockEnumerator.
-
-    Yields exactly code_size(c) distinct vectors over the full range;
-    disjoint sub-ranges may be consumed by parallel workers.
-    """
-    size = check_enum_cap(c, cap)
-    stop = size if stop is None else stop
-    be = BlockEnumerator(*enumeration_basis(c), c.r + c.s)
-    words = None
-    for h in range(start // be.block_size, -(-stop // be.block_size)):
-        lo = h * be.block_size
-        words = be.block(h, words)
-        for v in unpack(words, be.ncols)[max(start - lo, 0):stop - lo].tolist():
-            yield CodeVector(tuple(v[:c.r]), tuple(v[c.r:]))
 
 
 class BlockEnumerator:

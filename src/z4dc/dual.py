@@ -41,7 +41,6 @@ from .errors import (
     NotInvertible,
 )
 from .z4poly import (
-    ONE,
     Poly,
     ZERO,
     add,
@@ -123,7 +122,8 @@ def residue_gcd(c: DoubleCyclicCode) -> f2poly.Poly:
 
 @dataclass(frozen=True)
 class DualReport:
-    """Dual generators plus the witnesses of the generator relations.
+    """The dual code and the route that found it, with the closed form's
+    F1_hat_star, F2_hat_star and nu (None on the kernel route).
 
     kernel is the Howell form of C-perp, or None past the kernel cap."""
 
@@ -134,8 +134,6 @@ class DualReport:
     F2_hat_star: Poly | None = None
     l_hat: Poly | None = None
     nu: Poly | None = None
-    lambda_witness: Poly | None = None
-    mu_witness: Poly | None = None
 
     def to_json(self) -> dict:
         def p(x):
@@ -147,9 +145,7 @@ class DualReport:
             out["dual_size"] = code_size(self.dual)
         out.update({"F1_hat_star": p(self.F1_hat_star),
                     "F2_hat_star": p(self.F2_hat_star),
-                    "l_hat": p(self.l_hat), "nu": p(self.nu),
-                    "lambda": p(self.lambda_witness),
-                    "mu": p(self.mu_witness)})
+                    "l_hat": p(self.l_hat), "nu": p(self.nu)})
         if self.kernel is not None:
             out["kernel_rows"] = [list(row) for row in self.kernel.rows]
         return out
@@ -267,13 +263,10 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
     if not _is_dual(c, dual_code):
         raise NotFree("closed-form dual fails the pairing certificate")
     K = _generator_howell(dual_code).matrix if r + s <= kernel_cap else None
-    # lambda and mu are 1: F1hs * d1 = x^r-1 and F2hs * F1 * F2 =
-    # (x^s-1) * d1 are the exact divisions that define F1hs and F2hs
     return DualReport(method="free-closed-form", dual=dual_code, kernel=K,
                       F1_hat_star=mod_cyclic(F1hs, r),
                       F2_hat_star=mod_cyclic(F2hs, s),
-                      l_hat=dual_code.l, nu=nu, lambda_witness=ONE,
-                      mu_witness=ONE)
+                      l_hat=dual_code.l, nu=nu)
 
 
 def _generators(c: DoubleCyclicCode) -> list[tuple[Poly, Poly]]:

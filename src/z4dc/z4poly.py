@@ -111,11 +111,6 @@ def mod_cyclic(a: Poly, n: int) -> Poly:
     return canon(out)
 
 
-def mul_mod_cyclic(a: Poly, b: Poly, n: int) -> Poly:
-    """a*b reduced mod x^n - 1; total for n >= 1."""
-    return mod_cyclic(mul(a, b), n)
-
-
 @memoize
 def divmod_monic(a: Poly, d: Poly) -> tuple[Poly, Poly]:
     """Exact division with remainder by a unit-lead divisor.

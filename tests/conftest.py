@@ -1,12 +1,13 @@
 """Shared fixtures and independent oracles.
 
 The oracles here are deliberately naive re-implementations (longhand
-convolution, exhaustive span enumeration, exhaustive Gray-image
-closure, shift-by-shift inner products, the entry-by-entry Z4 column
-sweep, F2 row reduction) kept
-separate from the library paths they check, plus quantities that only
-the tests evaluate: the size of a Howell span, the inverse Gray map,
-and those of the projection-size lemma.
+convolution and the polynomial action on pairs, exhaustive span
+enumeration, exhaustive Gray-image closure, shift-by-shift inner
+products, the entry-by-entry Z4 column sweep, F2 row reduction) kept
+separate from the library paths they check, plus a decoder of the
+enumeration engine's blocks and quantities that only the tests
+evaluate: the size of a Howell span, the inverse Gray map, and those
+of the projection-size lemma.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ def naive_mod_cyclic(a, n):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def xstar_mul(p, pair, r, s):
+    """The componentwise action of p on a pair of blocks, by longhand
+    convolution reduced mod x^r-1 and x^s-1."""
+    return (naive_mod_cyclic(naive_mul(p, pair[0]), r),
+            naive_mod_cyclic(naive_mul(p, pair[1]), s))
 
 
 def all_polys(max_len, alphabet=4):
@@ -316,6 +324,24 @@ def code_engine(c, **kwargs):
     from z4dc.code import BlockEnumerator, enumeration_basis
 
     return BlockEnumerator(*enumeration_basis(c), c.r + c.s, **kwargs)
+
+
+def codewords(c):
+    """Every codeword of c as a CodeVector, in enumeration order,
+    decoded from the blocks of its BlockEnumerator."""
+    from z4dc.code import CodeVector, unpack
+
+    be = code_engine(c)
+    for h in range(be.nblocks):
+        for v in unpack(be.block(h), be.ncols).tolist():
+            yield CodeVector(tuple(v[:c.r]), tuple(v[c.r:]))
+
+
+def code_vector(v, r):
+    """A length-(r+s) vector as a CodeVector with a left block of r."""
+    from z4dc.code import CodeVector
+
+    return CodeVector(tuple(v[:r]), tuple(v[r:]))
 
 
 def broadcast_table(rows, radices, ncols, max_block=1 << 16):

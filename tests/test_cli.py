@@ -1,7 +1,10 @@
 """CLI integration: exit codes, report shapes, determinism, and the
 verify-examples harness (including a mutation sanity check)."""
 
+import argparse
+import ast
 import contextlib
+import inspect
 import io
 import json
 import random
@@ -174,6 +177,21 @@ class TestDual:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["dual_size"] == 1
+
+    def test_report_prints_only_computed_witnesses(self, tmp_path, capsys):
+        # the residue check's lambda is computed; the report carries no
+        # constant top-level lambda or mu beside it
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({"r": 3, "s": 3, "f1": "1", "g1": "1",
+                                    "f2": "1", "g2": "1"}))
+        assert cli.main(["dual", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "lambda" not in report and "mu" not in report
+        assert report["residue_check"]["lambda"] == "3"
+
+    def test_ignores_the_cap_variable(self, pair_spec, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_MAX_ENUM, "abc")
+        assert cli.main(["dual", pair_spec]) == 0
 
     def test_not_free_exit(self, tmp_path, capsys):
         path = tmp_path / "nf.json"
@@ -360,6 +378,104 @@ class TestInputContract:
         assert cli.main(["dual", str(path)]) == 0
 
 
+class TestCommandLine:
+    """A malformed command line exits 2 with the error object; each
+    command takes only the flags its handler reads."""
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        return rc, out.getvalue(), err.getvalue()
+
+    def assert_error_object(self, argv):
+        rc, out, err = self.run(argv)
+        error = json.loads(err)["error"]
+        assert (rc, out, error["type"]) == (2, "", "InvalidInput")
+        return error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "s.json", "--bogus"], ["search", "1", "x"], [],
+        ["analyze", "s.json", "--max-enum", "x"], ["dual", "s.json", "--method", "x"],
+        ["frobnicate"],
+    ], ids=["unknown-flag", "non-integer-length", "no-command", "non-integer-cap",
+            "bad-choice", "unknown-command"])
+    def test_usage_error_prints_the_error_object(self, argv):
+        self.assert_error_object(argv)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("dual", "--format=json"), ("dual", "--max-enum=5"), ("dual", "--jobs=2"),
+        ("dual", "--no-timing"), ("gray-export", "--format=json"),
+        ("gray-export", "--jobs=2"), ("gray-export", "--no-timing"),
+        ("verify-examples", "--format=json"), ("verify-examples", "--no-timing"),
+        ("search", "--no-timing"),
+    ])
+    def test_a_flag_the_command_ignores_is_refused(self, kerdock_spec, command, flag):
+        operands = {"dual": [kerdock_spec], "gray-export": [kerdock_spec],
+                    "verify-examples": ["--only", "5"], "search": ["1", "3"]}
+        message = self.assert_error_object([command, *operands[command], flag])
+        assert "unrecognized arguments" in message
+
+    @pytest.mark.parametrize("argv", [["--help"], ["dual", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: z4dc" in capsys.readouterr().out
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of a parser, by name."""
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return dict(action.choices)
+
+
+def args_reads(source: str) -> dict[str, set[str]]:
+    """The args.<name> attributes each top-level function of a module reads."""
+    return {node.name: {n.attr for n in ast.walk(node)
+                        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                        and n.value.id == "args"}
+            for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
+def unread_or_missing_options(source: str, parser) -> dict[str, set[str]]:
+    """Per subcommand, the dests its parser sets (options, positionals
+    and defaults) that neither its handler nor main reads, and the
+    attributes they read that it does not set."""
+    reads = args_reads(source)
+    out = {}
+    for name, sub in subparsers(parser).items():
+        dests = {a.dest for a in sub._actions if a.dest != "help"} | set(sub._defaults)
+        wrong = dests ^ (reads[sub.get_default("fn").__name__] | reads["main"])
+        if wrong:
+            out[name] = wrong
+    return out
+
+
+def test_option_check_flags_planted_ones():
+    source = ("def cmd_a(args):\n    return args.x + args.z\n"
+              "def cmd_b(args):\n    return args.x\n"
+              "def main(argv):\n    return args.fn(args)\n")
+    namespace = {}
+    exec(source, namespace)
+    ap = argparse.ArgumentParser()
+    sub = ap.add_subparsers()
+    p = sub.add_parser("a")
+    p.add_argument("--x")
+    p.add_argument("--y")  # accepted and ignored
+    p.set_defaults(fn=namespace["cmd_a"])
+    p = sub.add_parser("b")
+    p.add_argument("x")
+    p.set_defaults(fn=namespace["cmd_b"])
+    assert unread_or_missing_options(source, ap) == {"a": {"y", "z"}}
+
+
+def test_every_option_has_a_reader():
+    assert unread_or_missing_options(inspect.getsource(cli), cli._build_parser()) == {}
+
+
 class TestSearchCli:
     def test_search_json(self, capsys):
         rc = cli.main(["search", "1", "3", "--forms", "ii"])
@@ -504,26 +620,41 @@ raw_bytes = st.one_of(
 
 spec_commands = st.tuples(
     st.sampled_from([["analyze"], ["analyze", "--format", "csv"], ["dual"],
-                     ["dual", "--method", "free"], ["dual", "--method", "brute"]]),
+                     ["dual", "--method", "free"], ["dual", "--method", "brute"],
+                     ["gray-export"],
+                     # malformed or ignored flags
+                     ["analyze", "--bogus"], ["analyze", "--jobs", "x"],
+                     ["dual", "--format", "csv"], ["dual", "--jobs", "2"],
+                     ["gray-export", "--format", "csv"]]),
     # flatmap over sampled_from draws each kind about equally often
     st.sampled_from([valid_specs(), wrong_specs, past_bound_specs, raw_bytes])
     .flatmap(lambda kind: kind))
 
 search_lengths = st.one_of(
     st.sampled_from([1, 3]),
-    st.sampled_from([-3, 0, 4, 4095, 32767, 65535, *PAST_BOUND])).map(str)
+    st.sampled_from([-3, 0, 4, 4095, 32767, 65535, *PAST_BOUND, "x", "1.5", ""])).map(str)
 search_commands = st.tuples(
     search_lengths, search_lengths,
     st.sampled_from(["i", "ii", "iii", "i,ii", "ii,iii", "iv"]),
-    st.sampled_from(["0", "1"]), st.sampled_from(["json", "csv"])).map(
+    st.sampled_from(["0", "1"]), st.sampled_from(["json", "csv"]),
+    st.one_of(st.just([]),
+              st.sampled_from([["--no-timing"], ["--bogus"], ["--jobs", "0"]]))).map(
     lambda t: ["search", t[0], t[1], "--forms", t[2],
-               "--max-l-degree", t[3], "--format", t[4]])
+               "--max-l-degree", t[3], "--format", t[4], *t[5]])
+
+OPTIONS = {name: {o for a in sub._actions for o in a.option_strings}
+           for name, sub in subparsers(cli._build_parser()).items()}
 
 
 def check_exit(argv):
+    """Run argv, with --max-enum 4096 and --no-timing when its command
+    takes them, and check the exit code and error object."""
+    takes = OPTIONS[argv[0]]
+    extra = [*(["--max-enum", "4096"] if "--max-enum" in takes else []),
+             *(["--no-timing"] if "--no-timing" in takes else [])]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main([*argv, "--max-enum", "4096", "--no-timing"])
+        rc = cli.main([*argv, *extra])
     assert rc in (0, 1, 2, 3), err.getvalue()
     event(f"exit {rc}")
     if rc:

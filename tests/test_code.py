@@ -4,28 +4,30 @@ ideal canonicalization."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (brute_span, code_engine, counter_words, ideal_rows,
-                      mat, naive_mul, random_code, random_poly, span_size)
+from conftest import (brute_span, code_engine, code_vector, codewords,
+                      counter_words, ideal_rows, mat, naive_mul, random_code,
+                      random_poly, span_size, xstar_mul)
 from z4dc import code, f2poly as f2, linalg as la, z4poly as zp
 from z4dc.code import (
     CodeVector,
+    check_enum_cap,
     code_size,
     contains,
-    enumerate_codewords,
     generator_matrix,
     minimal_generating_set,
     shift_T,
     tau,
     tau_inv,
     validate,
-    xstar_mul,
 )
 from z4dc.errors import (
     BrokenDivisibilityChain,
     DegenerateGenerators,
     DegreeOverflow,
+    DimensionMismatch,
     EnumerationCapExceeded,
     EvenLength,
+    InvalidInput,
     MixingConstraintViolation,
     NotMonic,
 )
@@ -123,6 +125,15 @@ class TestValidate:
         with pytest.raises(EvenLength):
             validate(3, 0, f2=(1,), g2=(1,))
 
+    @pytest.mark.parametrize("r, s", [(True, 1), (1, True), (False, 1), (3.0, 1),
+                                      ("3", 1)])
+    def test_non_integer_length_rejected(self, r, s):
+        # bool is an int subclass: True would pass as the length 1 and
+        # echo as "r": true
+        name = "r" if type(r) is not int else "s"
+        with pytest.raises(InvalidInput, match=f"^{name} must be an integer"):
+            validate(r, s)
+
     def test_chain_violations(self):
         with pytest.raises(BrokenDivisibilityChain):
             validate(3, 3, f2=parse("x+1"), g2=parse("x+1"))  # x+1 does not divide x^3-1
@@ -151,7 +162,7 @@ class TestValidate:
     def test_zero_code(self):
         c = validate(3, 5)
         assert code_size(c) == 1
-        assert list(enumerate_codewords(c)) == [CodeVector((0,) * 3, (0,) * 5)]
+        assert list(codewords(c)) == [CodeVector((0,) * 3, (0,) * 5)]
 
 
 class TestMinimalGeneratingSet:
@@ -230,7 +241,7 @@ class TestCodeSize:
         for _ in range(220):
             c = random_code(rng, max_size=2 ** 12)
             size = code_size(c)
-            words = {v.concat() for v in enumerate_codewords(c)}
+            words = {v.concat() for v in codewords(c)}
             assert len(words) == size
             assert span_size(la.howell(generator_matrix(c))) == size
 
@@ -262,7 +273,7 @@ class TestCodeSize:
 
 class TestEnumeration:
     def test_kerdock_distinct(self):
-        words = [v.concat() for v in enumerate_codewords(kerdock())]
+        words = [v.concat() for v in codewords(kerdock())]
         assert len(words) == len(set(words)) == 256
 
     def test_matches_brute_span(self, rng):
@@ -270,23 +281,14 @@ class TestEnumeration:
             c = random_code(rng, r_choices=(1, 3), s_choices=(1, 3, 5),
                             max_size=2 ** 8)
             G = generator_matrix(c)
-            words = {v.concat() for v in enumerate_codewords(c)}
+            words = {v.concat() for v in codewords(c)}
             assert words == brute_span(G.rows, G.ncols)
 
     def test_cap_enforced(self):
         c = pair_3_9()
         with pytest.raises(EnumerationCapExceeded):
-            list(enumerate_codewords(c, cap=100))
-
-    def test_subrange_partitioning(self, rng):
-        c = pair_3_9()
-        size = code_size(c)
-        full = [v.concat() for v in enumerate_codewords(c)]
-        cut1, cut2 = 37, 200
-        parts = (list(enumerate_codewords(c, start=0, stop=cut1))
-                 + list(enumerate_codewords(c, start=cut1, stop=cut2))
-                 + list(enumerate_codewords(c, start=cut2, stop=size)))
-        assert [v.concat() for v in parts] == full
+            check_enum_cap(c, 100)
+        assert check_enum_cap(c, code_size(c)) == code_size(c)
 
     def test_block_enumerator_bit_identical(self):
         c = kerdock()
@@ -299,7 +301,7 @@ class TestEnumeration:
     def test_closure_under_shift(self, rng):
         for _ in range(60):
             c = random_code(rng, max_size=2 ** 10)
-            for v in enumerate_codewords(c):
+            for v in codewords(c):
                 assert contains(c, shift_T(v))
 
     def test_lemma1_style_invariance(self, rng):
@@ -335,14 +337,18 @@ class TestContains:
 
     def test_rejection_sampled_non_member(self, rng):
         c = kerdock()
-        words = {v.concat() for v in enumerate_codewords(c)}
+        words = {v.concat() for v in codewords(c)}
         found = 0
         while found < 20:
             v = tuple(rng.randrange(4) for _ in range(8))
             if v in words:
                 continue
-            assert not contains(c, code.from_concat(v, 1, 7))
+            assert not contains(c, code_vector(v, 1))
             found += 1
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            contains(kerdock(), CodeVector((0, 0), (0,) * 6))
 
 
 def assert_canonical_pair_spans(spanning, n):

@@ -5,9 +5,7 @@ r+s in {32, 64, 66} for codes (r and s are odd, so r+s is even), and
 31, 33, 65 for the lane primitives on random vectors.
 """
 
-import random
 from collections import Counter
-from itertools import islice
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -102,14 +100,3 @@ def test_sharded_histogram_equals_sequential(rnd, shape):
     c = shaped_code(rnd, *shape, max_bits=19, min_bits=18)
     assert code_engine(c).nblocks >= 4
     assert gray.lee_enumerator(c, jobs=2) == gray.lee_enumerator(c, jobs=1)
-
-
-def test_enumeration_windows_cross_block_boundaries():
-    # 2^17 words span several blocks of at most 2^16 words, and 65536
-    # is a block boundary whatever the block size
-    c = shaped_code(random.Random(3), 1, 31, max_bits=17, min_bits=17)
-    assert code_engine(c).nblocks >= 2
-    oracle = list(islice(counter_words(c), 70000))
-    for start, stop in ((0, 3), (65530, 65545), (65536, 65536), (65000, 70000)):
-        words = [v.concat() for v in code.enumerate_codewords(c, start=start, stop=stop)]
-        assert words == oracle[start:stop]

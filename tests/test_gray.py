@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     bits_to_int,
+    code_vector,
     divisor_lattice_of,
     gray_image_is_linear,
     gray_image_words,
@@ -17,10 +18,9 @@ from conftest import (
     shaped_code,
 )
 from z4dc import code, dual, gray, linalg, z4poly
-from z4dc.code import code_size, contains, from_concat, validate
+from z4dc.code import code_size, contains, validate
 from z4dc.dual import dual_report
 from z4dc.errors import (
-    DimensionMismatch,
     EnumerationCapExceeded,
     InternalCheckFailed,
     Z4DCError,
@@ -75,16 +75,12 @@ class TestWeightsAndDistances:
             v = tuple(rng.randrange(4) for _ in range(n))
             hamming = sum(a != b for a, b in
                           zip(gray.gray_map(u), gray.gray_map(v)))
-            assert gray.lee_distance(u, v) == hamming
+            assert gray.lee_weight([a - b for a, b in zip(u, v)]) == hamming
 
     def test_negation_invariance(self, rng):
         for _ in range(200):
             v = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 30)))
             assert gray.lee_weight(v) == gray.lee_weight(tuple((-x) % 4 for x in v))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            gray.lee_distance((1, 2), (1,))
 
 
 class TestLeeEnumerator:
@@ -109,9 +105,8 @@ class TestLeeEnumerator:
 
     @pytest.mark.parametrize("entry", [
         gray.lee_enumerator,
-        lambda c: next(code.enumerate_codewords(c)),
         lambda c: next(gray.gray_words(c)),
-    ], ids=["lee_enumerator", "enumerate_codewords", "gray_words"])
+    ], ids=["lee_enumerator", "gray_words"])
     def test_cap_names_a_huge_size_exactly(self, entry):
         # |C| = 4^7151 has 4306 digits, past Python's default int-to-string
         # limit; the message names it as the power of two it is
@@ -131,7 +126,7 @@ class TestLeeEnumerator:
             if code_size(c) == 1:
                 continue
             enum = gray.lee_enumerator(c)
-            assert gray.min_lee_distance(c) == \
+            assert enum.min_nonzero_weight() == \
                 min(w for w in enum.counts if w > 0)
 
 
@@ -255,7 +250,7 @@ class TestMacWilliamsRoute:
         monkeypatch.setattr(linalg, "kernel",
                             lambda m: linalg.MatZ4(kernel(m).rows[1:], m.ncols))
         c = shaped_code(random.Random(7), 1, 15, max_bits=18, min_bits=18)
-        with pytest.raises(InternalCheckFailed, match="kernel spans"):
+        with pytest.raises(InternalCheckFailed, match="A_0"):
             gray.lee_enumerator(c)
 
     def test_cap_is_checked_against_the_code(self):
@@ -279,7 +274,7 @@ class TestGrayImageParams:
         u, v = p.witness
         x = tuple(a ^ b for a, b in zip(u, v))
         assert not contains(kerdock(),
-                            from_concat(gray_inverse(x), 1, 7))
+                            code_vector(gray_inverse(x), 1))
 
     def test_linear_image_detected(self):
         # purely 2-torsion codes have additive Gray images: Phi(2a) has
@@ -316,7 +311,7 @@ class TestGrayImageParams:
         c = validate(3, 3, f1=parse("x^3+3"), g1=parse("x+3"),
                      l=parse("x+1"), f2=parse("x^3+3"), g2=(1,))
         assert code_size(c) == 32
-        assert not contains(c, from_concat((0, 2, 0, 0, 0, 0), 3, 3))
+        assert not contains(c, code_vector((0, 2, 0, 0, 0, 0), 3))
         p = gray.gray_image_params(c)
         assert p.linear_image is False
         self.assert_matches_closure(c)
