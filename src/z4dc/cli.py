@@ -8,9 +8,11 @@ with --no-timing.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure or a
 malformed command line (with a machine-readable error object naming
-the violated invariant), 3
-enumeration or dimension cap exceeded (--force lifts the caps), 4 a
-failed internal check, i.e. a bug in z4dc (same error object).
+the violated invariant), 3 enumeration or dimension cap exceeded, 4 a
+failed internal check, i.e. a bug in z4dc (same error object).  Only
+the command line sets the caps: --max-enum for the commands that
+enumerate (default 2^26 words; search: 2^20 per candidate), r+s <= 64
+for dual's kernel; --force lifts both.
 
 Sizes are printed exact.  A code of length r+s, with r and s up to
 polytext.MAX_LENGTH, has up to 4^(r+s) words, more digits than Python
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 
@@ -54,23 +55,14 @@ from .errors import (
 )
 from .reference import REFERENCE_CASES
 
-ENV_MAX_ENUM = "Z4DC_MAX_ENUM"
 UNCAPPED = 1 << 62
 
 
-def _enum_cap(max_enum: int | None, force: bool) -> int:
-    """--max-enum, else $Z4DC_MAX_ENUM, else DEFAULT_ENUM_CAP; --force
-    lifts the cap, but the variable is checked all the same."""
-    if max_enum is None:
-        env = os.environ.get(ENV_MAX_ENUM)
-        try:
-            max_enum = int(env) if env else DEFAULT_ENUM_CAP
-        except ValueError:
-            raise InvalidInput(
-                f"${ENV_MAX_ENUM} must be an integer, got {env!r}") from None
-        if max_enum < 1:
-            raise InvalidInput(f"${ENV_MAX_ENUM} must be at least 1, got {max_enum}")
-    return UNCAPPED if force else max_enum
+def _enum_cap(max_enum: int | None, force: bool,
+              default: int = DEFAULT_ENUM_CAP) -> int:
+    """The enumeration cap: --max-enum, else the command's default;
+    --force lifts it."""
+    return UNCAPPED if force else (max_enum or default)
 
 
 def _spec_int(digits: str) -> int:
@@ -221,8 +213,7 @@ def cmd_verify_examples(args) -> int:
 
 def cmd_search(args) -> int:
     forms = tuple(f.strip() for f in args.forms.split(",") if f.strip())
-    cap = UNCAPPED if args.force else \
-        args.max_enum or search_mod.DEFAULT_SEARCH_ENUM_CAP
+    cap = _enum_cap(args.max_enum, args.force, search_mod.DEFAULT_SEARCH_ENUM_CAP)
     report = search_mod.search(
         args.r, args.s, forms=forms, max_l_degree=args.max_l_degree,
         distance_floor=args.distance_floor, enum_cap=cap,
@@ -275,8 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     out = parent("--out", metavar="PATH", help="write output here")
     fmt = parent("--format", choices=("json", "csv"), default="json")
     cap = parent("--max-enum", type=_positive("--max-enum"), default=None,
-                 help="enumeration cap (default 2^26, or "
-                      f"${ENV_MAX_ENUM}; search: 2^20 per candidate)")
+                 help="enumeration cap (default 2^26; search: 2^20 per candidate)")
     force = parent("--force", action="store_true",
                    help="lift enumeration and dimension caps")
     jobs = parent("--jobs", type=_positive("--jobs"), default=1,

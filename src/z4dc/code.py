@@ -108,7 +108,6 @@ class DoubleCyclicCode:
     l: Poly
     f2: Poly
     g2: Poly
-    case: str  # "i", "ii" or "iii"
 
     # -- derived generator data ------------------------------------------
 
@@ -160,6 +159,13 @@ class DoubleCyclicCode:
     @property
     def h2(self) -> Poly:
         return exact_div(xn_minus_1(self.s), self.f2)
+
+    @property
+    def case(self) -> str:
+        """Case "iii" with both generators, "ii" with only (l|F2), else "i"."""
+        if self.right_present:
+            return "iii" if self.left_present else "ii"
+        return "i"
 
     @property
     def is_free(self) -> bool:
@@ -274,16 +280,7 @@ def validate(r: int, s: int, f1: Poly | None = None, g1: Poly | None = None,
         raise MixingConstraintViolation(
             f"2*((x^s-1)/f2)*l = {polytext.render(w2)} mod x^{r}-1 is "
             f"outside the ideal generated by f1+2g1", witness=w2)
-
-    right_present = F2_mod != ZERO
-    left_present = mod_cyclic(F1, r) != ZERO
-    if left_present and right_present:
-        case = "iii"
-    elif left_present or not right_present:
-        case = "i"
-    else:
-        case = "ii"
-    return DoubleCyclicCode(r, s, f1, g1, l, f2, g2, case)
+    return DoubleCyclicCode(r, s, f1, g1, l, f2, g2)
 
 
 def from_spec_dict(d: dict) -> DoubleCyclicCode:
@@ -353,17 +350,13 @@ def check_enum_cap(c: DoubleCyclicCode, cap: int) -> int:
     return size
 
 
-@functools.lru_cache(maxsize=64)
-def _generator_howell(c: DoubleCyclicCode) -> linalg.HowellForm:
-    return linalg.howell(generator_matrix(c))
-
-
 def contains(c: DoubleCyclicCode, v: CodeVector) -> bool:
-    """Membership via the cached Howell form of the generator matrix."""
+    """Membership via the generator matrix's Howell form, computed on
+    each call; for many vectors, hold linalg.howell(generator_matrix(c))."""
     if len(v.left) != c.r or len(v.right) != c.s:
         raise DimensionMismatch(
             f"vector blocks ({len(v.left)}, {len(v.right)}) != ({c.r}, {c.s})")
-    return linalg.membership(_generator_howell(c), v.concat())
+    return linalg.membership(linalg.howell(generator_matrix(c)), v.concat())
 
 
 # -- codeword enumeration -----------------------------------------------

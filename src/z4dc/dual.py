@@ -24,7 +24,6 @@ from . import f2poly, linalg, polytext
 from .code import (
     CodeVector,
     DoubleCyclicCode,
-    _generator_howell,
     canonicalize_ideal,
     code_size,
     generator_matrix,
@@ -37,6 +36,7 @@ from .errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     InternalCheckFailed,
+    InvalidInput,
     NotFree,
     NotInvertible,
 )
@@ -198,13 +198,14 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
     With d the Hensel lift of residue_gcd(c) the dual generators are
     F1_hat* = (x^r-1)/d,  F2_hat* = (x^s-1)*d/(F1*F2),  and l_hat from
     l_hat* * F1 = nu * (x^r-1) where nu = x^(k - deg F2 + deg l) *
-    (A*)^-1 modulo (F1/d)* with A = l/d.  Inputs the closed form cannot
-    express (failed exact divisions, residues sharing factors with the
-    modulus) raise NotFree / NotInvertible so callers can fall back to
-    the kernel oracle, as does a dual that fails _is_dual.  No kernel
-    is computed: when r+s fits the cap, the report's kernel is the
-    certified dual's Howell form, the one Howell reduction of the
-    closed-form route.
+    (A*)^-1 modulo (F1/d)* with A = l/d.  So that callers can fall back
+    to the kernel, it raises NotInvertible for a 2-torsion l or a d that
+    does not divide l over Z4, and NotFree when no unit makes (l_hat|F2_hat)
+    orthogonal to C or the dual fails _is_dual.  F2_hat* divides exactly
+    on valid codes (f1/d | h2 mod 2, and a residue factor of x^r-1 and
+    x^s-1 has one lift), so a remainder is InternalCheckFailed.  No
+    kernel is computed: when r+s fits the cap, the report's kernel is
+    the certified dual's Howell form.
     """
     if not c.is_free:
         raise NotFree("closed form requires f1 = g1 and f2 = g2")
@@ -223,12 +224,7 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
     else:
         f1h = g1h = make_monic(reciprocal(F1hs))
 
-    num = mul(xn_minus_1(s), d1)
-    q, rem = divmod_monic(num, mul(F1m, F2m))
-    if rem:
-        raise NotFree("closed form inapplicable: F1*F2 does not divide "
-                      "(x^s-1)*gcd(F1,l)")
-    F2hs = q
+    F2hs = exact_div(mul(xn_minus_1(s), d1), mul(F1m, F2m))
     if mod_cyclic(F2hs, s) == ZERO:
         f2h = g2h = xn_minus_1(s)
     else:
@@ -262,7 +258,7 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
     dual_code = validate(r, s, f1h, g1h, l_hat, f2h, g2h)
     if not _is_dual(c, dual_code):
         raise NotFree("closed-form dual fails the pairing certificate")
-    K = _generator_howell(dual_code).matrix if r + s <= kernel_cap else None
+    K = linalg.howell(generator_matrix(dual_code)).matrix if r + s <= kernel_cap else None
     return DualReport(method="free-closed-form", dual=dual_code, kernel=K,
                       F1_hat_star=mod_cyclic(F1hs, r),
                       F2_hat_star=mod_cyclic(F2hs, s),
@@ -297,7 +293,7 @@ def dual_report(c: DoubleCyclicCode, method: str = "auto",
     if method == "brute":
         return dual_brute_force(c, cap=kernel_cap)[1]
     if method != "auto":
-        raise ValueError(f"unknown dual method {method!r}")
+        raise InvalidInput(f"unknown dual method {method!r}")
     if c.is_free:
         try:
             return dual_free(c, kernel_cap=kernel_cap)

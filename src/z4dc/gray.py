@@ -39,13 +39,11 @@ import numpy as np
 from . import linalg
 from .code import (
     BlockEnumerator,
-    CodeVector,
     DEFAULT_ENUM_CAP,
     LO,
     DoubleCyclicCode,
     check_enum_cap,
     code_size,
-    contains,
     enumeration_basis,
     generator_matrix,
     unpack,
@@ -221,15 +219,15 @@ def image_params(c: DoubleCyclicCode, enum: LeeEnumerator) -> GrayImageParams:
     order label of a row is no substitute: a row labelled 2 can have an
     odd entry.  A failing pair (g, h) is the witness: phi(g) XOR phi(h)
     = phi(g + h + 2(g*h)), which is outside the image exactly when
-    2(g*h) is outside C.
+    2(g*h) is outside C: one Howell form of C decides every pair.
     """
     M = code_size(c)
     d = enum.min_nonzero_weight() if M > 1 else None
     rows = [w for w in enumeration_basis(c)[0] if any(a & 1 for a in w)]
+    span = linalg.howell(generator_matrix(c))
     for i, g in enumerate(rows):
         for h in rows[:i]:
-            w = tuple(2 * (a & b & 1) for a, b in zip(g, h))
-            if not contains(c, CodeVector(w[:c.r], w[c.r:])):
+            if not linalg.membership(span, [2 * (a & b & 1) for a, b in zip(g, h)]):
                 return GrayImageParams(2 * (c.r + c.s), M, d, False,
                                        (gray_map(g), gray_map(h)))
     return GrayImageParams(2 * (c.r + c.s), M, d, True, None)

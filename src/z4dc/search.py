@@ -25,26 +25,28 @@ from .gray import lee_enumerator
 from .z4poly import Poly, ZERO, canon, degree, divides, hensel_lift, mul, xn_minus_1
 
 DEFAULT_SEARCH_ENUM_CAP = 1 << 20
-DEFAULT_LATTICE_BOUND = 4096
+LATTICE_BOUND = 4096
 FORMS = ("i", "ii", "iii")
 
 
-def divisor_lattice(n: int, bound: int = DEFAULT_LATTICE_BOUND) -> list[Poly]:
+def divisor_lattice(n: int) -> list[Poly]:
     """All monic divisors of x^n - 1 over Z4, sorted by (degree, coeffs).
 
     Each divisor is the Hensel lift of a product of irreducible residue
     factors; there are exactly 2^(number of factors) of them.  n is a
-    positive odd integer of at most polytext.MAX_LENGTH, and the bound
-    is checked on the count of cyclotomic cosets, one per factor, before
-    anything is factored.
+    positive odd integer (not a bool) of at most polytext.MAX_LENGTH,
+    and LATTICE_BOUND is checked on the count of cyclotomic cosets, one
+    per factor, before anything is factored.
     """
-    if isinstance(n, int) and n > polytext.MAX_LENGTH:
+    if type(n) is not int:  # bool is an int subclass
+        raise InvalidInput(f"n must be an integer, got {n!r:.40}")
+    if n > polytext.MAX_LENGTH:
         raise InvalidInput(f"n must be at most {polytext.MAX_LENGTH}")
     k = len(f2poly.cyclotomic_cosets(n))
-    if 2 ** k > bound:
+    if 2 ** k > LATTICE_BOUND:
         raise LatticeTooLarge(
             f"x^{n}-1 has {k} residue factors; lattice of size "
-            f"2^{k} exceeds bound {bound}")
+            f"2^{k} exceeds bound {LATTICE_BOUND}")
     factors = sorted(f2poly.factor_cyclic(n))
     lifts = [hensel_lift(p, n) for p in factors]
     divisors = []
@@ -102,8 +104,7 @@ def _l_candidates(max_degree: int):
 
 
 def iter_candidates(r: int, s: int, forms=FORMS,
-                    max_l_degree: int | None = None,
-                    lattice_bound: int = DEFAULT_LATTICE_BOUND):
+                    max_l_degree: int | None = None):
     """Deterministic stream of candidate generator quintuples.
 
     Case (iii) mixing polynomials range over degree < deg F1 (larger l
@@ -117,9 +118,10 @@ def iter_candidates(r: int, s: int, forms=FORMS,
                            f"{', '.join(FORMS)}, got {forms!r}")
     if max_l_degree is not None and max_l_degree < 0:
         raise InvalidInput(f"max_l_degree must be at least 0, got {max_l_degree}")
-    D_r = divisor_lattice(r, lattice_bound)
-    D_s = divisor_lattice(s, lattice_bound)
-    # (g, f) pairs without the sentinel f = g = x^n-1 of an absent block
+    D_r = divisor_lattice(r)
+    D_s = divisor_lattice(s)
+    # (g, f) pairs without the sentinel f = g = x^n-1 of an absent block,
+    # so every candidate that validates has at least 2 words
     pairs_r = [(g, f) for g, f in _divisor_pairs(D_r) if not f == g == xn_minus_1(r)]
     pairs_s = [(g, f) for g, f in _divisor_pairs(D_s) if not f == g == xn_minus_1(s)]
     if "i" in forms:
@@ -141,7 +143,6 @@ def iter_candidates(r: int, s: int, forms=FORMS,
 def search(r: int, s: int, forms=FORMS,
            max_l_degree: int | None = None, distance_floor: int = 0,
            enum_cap: int = DEFAULT_SEARCH_ENUM_CAP,
-           lattice_bound: int = DEFAULT_LATTICE_BOUND,
            pareto: bool = True, jobs: int = 1) -> SearchReport:
     """Evaluate every valid candidate and report the Pareto-best codes.
 
@@ -157,8 +158,7 @@ def search(r: int, s: int, forms=FORMS,
     evaluated = skipped = 0
     notices: list[str] = []
     scored: list[tuple[int, int, str, dict]] = []
-    for cand in iter_candidates(r, s, forms=forms, max_l_degree=max_l_degree,
-                                lattice_bound=lattice_bound):
+    for cand in iter_candidates(r, s, forms=forms, max_l_degree=max_l_degree):
         try:
             c = validate(**cand)
         except InternalCheckFailed:
@@ -166,8 +166,6 @@ def search(r: int, s: int, forms=FORMS,
         except Z4DCError:
             continue
         size = code_size(c)
-        if size <= 1:
-            continue
         if size > enum_cap:
             skipped += 1
             notices.append(f"skipped candidate of size {size} > cap "

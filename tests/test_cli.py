@@ -130,9 +130,16 @@ class TestAnalyze:
                        "--no-timing"])
         assert rc == 0
 
-    def test_env_var_cap(self, kerdock_spec, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_MAX_ENUM, "10")
-        assert cli.main(["analyze", kerdock_spec]) == 3
+    @pytest.mark.parametrize("value", ["10", "abc", "0", "-5"])
+    def test_ignores_the_cap_variable(self, kerdock_spec, capsys, monkeypatch,
+                                      value):
+        # only --max-enum sets the cap: $Z4DC_MAX_ENUM is neither read
+        # nor checked
+        assert cli.main(["analyze", kerdock_spec, "--no-timing"]) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("Z4DC_MAX_ENUM", value)
+        assert cli.main(["analyze", kerdock_spec, "--no-timing"]) == 0
+        assert capsys.readouterr() == plain
 
     def test_csv_format_emits_enumerator(self, kerdock_spec, capsys):
         rc = cli.main(["analyze", kerdock_spec, "--format", "csv"])
@@ -190,7 +197,7 @@ class TestDual:
         assert report["residue_check"]["lambda"] == "3"
 
     def test_ignores_the_cap_variable(self, pair_spec, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_MAX_ENUM, "abc")
+        monkeypatch.setenv("Z4DC_MAX_ENUM", "abc")
         assert cli.main(["dual", pair_spec]) == 0
 
     def test_not_free_exit(self, tmp_path, capsys):
@@ -201,6 +208,22 @@ class TestDual:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "NotFree"
+
+    def test_non_free_code_past_the_kernel_cap(self, tmp_path, capsys):
+        # r+s = 66 > 64 and f1 != g1: no closed form, and the kernel
+        # needs --force
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"r": 3, "s": 63, "f1": "x+3", "g1": "1"}))
+        assert cli.main(["dual", str(path)]) == 3
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)["error"]
+        assert captured.out == "" and err["type"] == "DimensionCapExceeded"
+        assert "exceeds kernel cap 64" in err["message"]
+        assert err["invariant"] == "r+s must not exceed the kernel dimension cap"
+        assert cli.main(["dual", str(path), "--force"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == "brute-kernel"
+        assert report["dual_size"] * 4 ** 2 * 2 == 4 ** 66
 
 
 class TestVerifyExamples:
@@ -290,15 +313,15 @@ class TestInputContract:
         rc, err = self.run_spec(tmp_path, capsys, [1, 2])
         assert (rc, err["type"]) == (2, "InvalidInput")
 
+    def test_f2_without_g2(self, tmp_path, capsys):
+        rc, err = self.run_spec(tmp_path, capsys, {"r": 3, "s": 3, "f2": "x+3"})
+        assert (rc, err["type"]) == (2, "DegenerateGenerators")
+        assert err["message"] == "f2 and g2 must be supplied together"
+
     def test_boolean_length(self, tmp_path, capsys):
         rc, err = self.run_spec(tmp_path, capsys, {"r": True, "s": 7})
         assert (rc, err["type"]) == (2, "InvalidInput")
         assert "r must be an integer" in err["message"]
-
-    def test_non_integer_cap_variable(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_MAX_ENUM, "abc")
-        rc, err = self.run_spec(tmp_path, capsys, {"r": 1, "s": 7})
-        assert (rc, err["type"]) == (2, "InvalidInput")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, tmp_path, capsys, jobs):
@@ -310,13 +333,6 @@ class TestInputContract:
         rc, err = self.run_spec(tmp_path, capsys, {"r": 1, "s": 7}, "--max-enum", cap)
         assert (rc, err["type"]) == (2, "InvalidInput")
         assert "--max-enum must be at least 1" in err["message"]
-
-    @pytest.mark.parametrize("cap", ["0", "-5"])
-    def test_cap_variable_below_one(self, tmp_path, capsys, monkeypatch, cap):
-        monkeypatch.setenv(cli.ENV_MAX_ENUM, cap)
-        rc, err = self.run_spec(tmp_path, capsys, {"r": 1, "s": 7})
-        assert (rc, err["type"]) == (2, "InvalidInput")
-        assert "must be at least 1" in err["message"]
 
     @pytest.mark.parametrize("command", ["analyze", "dual"])
     @pytest.mark.parametrize("raw, message", [

@@ -150,6 +150,8 @@ class TestValidate:
     def test_degenerate_generators(self):
         with pytest.raises(DegenerateGenerators):
             validate(3, 3, f1=parse("x+3"))  # f1 without g1
+        with pytest.raises(DegenerateGenerators, match="f2 and g2"):
+            validate(3, 3, f2=parse("x+3"))  # f2 without g2
         with pytest.raises(DegenerateGenerators):
             validate(3, 3, l=(1,))  # mixing without a right generator
         with pytest.raises(DegenerateGenerators):

@@ -16,7 +16,6 @@ from conftest import (
 from z4dc import dual, linalg as la, z4poly as zp, f2poly as fp
 from z4dc.code import (
     CodeVector,
-    _generator_howell,
     code_size,
     from_spec_dict,
     generator_matrix,
@@ -28,6 +27,8 @@ from z4dc.code import (
 )
 from z4dc.errors import (
     DimensionCapExceeded,
+    DimensionMismatch,
+    InvalidInput,
     NotFree,
     NotInvertible,
 )
@@ -60,6 +61,12 @@ class TestInnerProduct:
             u, v = random_vector(rng, r, s), random_vector(rng, r, s)
             expected = sum(a * b for a, b in zip(u.concat(), v.concat())) % 4
             assert dual.inner_product(u, v) == expected
+
+    @pytest.mark.parametrize("r, s", [(3, 2), (2, 3)])
+    def test_dimension_mismatch(self, r, s):
+        with pytest.raises(DimensionMismatch):
+            dual.inner_product(CodeVector((1, 2), (3, 0)),
+                               CodeVector((1,) * r, (1,) * s))
 
 
 class TestPhiMap:
@@ -177,7 +184,7 @@ class TestDualBruteForce:
         for _ in range(300):
             c = random_code(rng, max_size=2 ** 16)
             K, rep = dual.dual_brute_force(c)
-            assert _generator_howell(rep.dual).matrix.rows == K.rows
+            assert la.howell(generator_matrix(rep.dual)).matrix.rows == K.rows
             cases[c.case] += 1
             free += c.is_free
         assert min(cases.values()) >= 20, cases
@@ -265,6 +272,27 @@ class TestDualFree:
         assert successes > 3 * fallbacks  # closed form covers the bulk
 
 
+def test_closed_form_divisions_are_exact_on_valid_free_codes(rng):
+    """F1*F2 divides (x^s-1)*d on every valid free code (the dual_free
+    docstring gives the reason), so the closed form's exact division
+    never raises InternalCheckFailed; lengths with common residue
+    factors (gcd(r, s) > 1) are the ones the argument needs."""
+    lengths = (1, 3, 5, 7, 9, 15, 21)
+    divided = shared = 0
+    for _ in range(400):
+        c = random_code(rng, r_choices=lengths, s_choices=lengths,
+                        free_only=True)
+        try:
+            dual.dual_free(c)
+        except (NotFree, NotInvertible):
+            pass
+        # codes past the 2-torsion check reach the division
+        reached = c.l == () or zp.reduce_mod2(c.l) != ()
+        divided += reached
+        shared += reached and c.l != () and math.gcd(c.r, c.s) > 1
+    assert divided >= 300 and shared >= 25, (divided, shared)
+
+
 def test_closed_form_kernel_rows_equal_the_kernel(rng):
     """The closed form reads kernel_rows off the dual's Howell form; over
     a seeded free population they equal the kernel of the primal
@@ -291,6 +319,10 @@ class TestDualReportDispatch:
         c = validate(3, 3, f1=parse("x^3+3"), g1=(1,), f2=(1,), g2=(1,))
         rep = dual.dual_report(c, method="auto")
         assert rep.method == "brute-kernel"
+
+    def test_unknown_method_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="unknown dual method 'x'"):
+            dual.dual_report(pair_3_9(), method="x")
 
     def test_methods_agree(self, rng):
         for _ in range(40):

@@ -169,6 +169,11 @@ def test_howell_meets_its_definition_and_spans_the_rows(case, data):
             h, tuple((a + b) % 4 for a, b in zip(v, u))) == rep
 
 
+def test_a_row_of_the_wrong_length_is_rejected():
+    with pytest.raises(DimensionMismatch, match="row length 1 != ncols 2"):
+        la.MatZ4(((1, 0), (1,)), 2)
+
+
 class TestMembership:
     def test_zero_vector(self, rng):
         h = la.howell(mat([(1, 2, 3)], 3))

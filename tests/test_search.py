@@ -32,9 +32,22 @@ class TestDivisorLattice:
         for d in lat:
             assert zp.divmod_monic(zp.xn_minus_1(7), d)[1] == ()
 
-    def test_lattice_bound(self):
-        with pytest.raises(LatticeTooLarge):
-            sm.divisor_lattice(15, bound=8)
+    def test_lattice_bound(self, monkeypatch):
+        # x^15-1 has 5 residue factors, so 32 divisors
+        monkeypatch.setattr(sm, "LATTICE_BOUND", 8)
+        with pytest.raises(LatticeTooLarge, match="lattice of size 2\\^5 exceeds bound 8"):
+            sm.divisor_lattice(15)
+        monkeypatch.setattr(sm, "LATTICE_BOUND", 32)
+        assert len(sm.divisor_lattice(15)) == 32
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3", None])
+    def test_non_integer_length_rejected(self, n):
+        with pytest.raises(InvalidInput, match="n must be an integer"):
+            sm.divisor_lattice(n)
+        with pytest.raises(InvalidInput, match="n must be an integer"):
+            list(sm.iter_candidates(1, n))
+        with pytest.raises(InvalidInput, match="n must be an integer"):
+            sm.search(n, 1)
 
 
 class TestForms:
@@ -49,6 +62,24 @@ class TestForms:
         with pytest.raises(InvalidInput, match="max_l_degree"):
             list(sm.iter_candidates(1, 3, max_l_degree=-1))
         assert list(sm.iter_candidates(1, 3, forms=("ii",), max_l_degree=0))
+
+
+@pytest.mark.parametrize("r, s", [(1, 3), (3, 3), (1, 7), (3, 5)])
+def test_every_valid_candidate_has_a_nonzero_word(r, s):
+    """iter_candidates drops the all-absent sentinel pair on both
+    blocks, so every candidate that validates has at least 2 words and
+    search needs no zero-code branch."""
+    valid = 0
+    for cand in sm.iter_candidates(r, s):
+        try:
+            c = validate(**cand)
+        except InternalCheckFailed:
+            raise
+        except Z4DCError:
+            continue
+        assert code_size(c) >= 2, cand
+        valid += 1
+    assert valid > 0
 
 
 @pytest.mark.parametrize("cap", [0, -5])

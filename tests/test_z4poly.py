@@ -118,6 +118,17 @@ class TestDivides:
             assert zp.divides(d, a) == truth
 
 
+class TestMakeMonic:
+    def test_unit_lead_scaled_to_one(self):
+        assert zp.make_monic(parse("3x+1")) == parse("x+3")
+        assert zp.make_monic(parse("x+3")) == parse("x+3")
+
+    @pytest.mark.parametrize("a", [(), parse("2x+1")], ids=["zero", "even-lead"])
+    def test_even_lead_rejected(self, a):
+        with pytest.raises(NonUnitLeadingCoefficient):
+            zp.make_monic(a)
+
+
 class TestReciprocal:
     def test_palindromes(self):
         assert zp.reciprocal(parse("x+1")) == parse("x+1")
@@ -180,6 +191,10 @@ class TestHenselLift:
         with pytest.raises(NotADivisor):
             zp.hensel_lift((1, 0, 1, 1), 3)
 
+    def test_zero_rejected(self):
+        with pytest.raises(ZeroPolynomial):
+            zp.hensel_lift((), 3)
+
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
     def test_lift_properties_and_uniqueness(self, n):
         for fbar in sorted(_all_divisors_f2(n)):
@@ -228,6 +243,12 @@ class TestInverseModMonic:
     def test_not_invertible(self):
         with pytest.raises(NotInvertible):
             zp.inverse_mod_monic(parse("x+1"), zp.xn_minus_1(3))
+
+    @pytest.mark.parametrize("m", [parse("3x^2+x+1"), parse("2x+1"), (1,)],
+                             ids=["lead-3", "even-lead", "degree-0"])
+    def test_modulus_must_be_monic_of_degree_one_or_more(self, m):
+        with pytest.raises(NonUnitLeadingCoefficient):
+            zp.inverse_mod_monic(parse("x+1"), m)
 
     def test_randomized_exactness(self, rng):
         for _ in range(200):
