@@ -6,13 +6,14 @@ taking only the flags its handler reads.  Output is JSON first (with
 flags produce byte-identical output, once analyze's timing is excluded
 with --no-timing.
 
-Exit codes: 0 success, 1 I/O failure, 2 validation failure or a
-malformed command line (with a machine-readable error object naming
-the violated invariant), 3 enumeration or dimension cap exceeded, 4 a
-failed internal check, i.e. a bug in z4dc (same error object).  Only
-the command line sets the caps: --max-enum for the commands that
-enumerate (default 2^26 words; search: 2^20 per candidate), r+s <= 64
-for dual's kernel; --force lifts both.
+Exit codes: 0 success, 1 I/O failure or a failed verify-examples
+claim, 2 validation failure or a malformed command line (with a
+machine-readable error object naming the violated invariant), 3
+enumeration or dimension cap exceeded, 4 a failed internal check,
+i.e. a bug in z4dc (same error object).  Only the command line sets
+the caps: --max-enum for the commands that enumerate (default 2^26
+words; search: 2^20 per candidate), r+s <= 64 for dual's kernel;
+--force lifts both.
 
 Sizes are printed exact.  A code of length r+s, with r and s up to
 polytext.MAX_LENGTH, has up to 4^(r+s) words, more digits than Python
@@ -231,10 +232,10 @@ def cmd_search(args) -> int:
 
 def cmd_gray_export(args) -> int:
     cap = _enum_cap(args.max_enum, args.force)
-    c = from_spec_dict(_load_spec(args.spec))
+    lines = gray.gray_words(from_spec_dict(_load_spec(args.spec)), cap=cap)
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
-        for line in gray.gray_words(c, cap=cap):
+        for line in lines:
             fh.write(line + "\n")
     return 0
 

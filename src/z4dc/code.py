@@ -308,26 +308,10 @@ def spec_dict(c: DoubleCyclicCode) -> dict:
 
 
 def minimal_generating_set(c: DoubleCyclicCode) -> list[tuple[CodeVector, int]]:
-    """The S1, S2, S3, S4 rows with their radices (4 or 2), in that order.
-
-    The radix is the number of multiples of the row that the enumeration
-    counts through, not its additive order: an S4 row can have odd
-    entries and still has radix 2.
-
-    Each family is the rotations of one generator pair, r-t1, t1-t2,
-    s-r1 and r1-r2 of them; the sentinel encodings make the ranges of
-    absent families empty.
-    """
-    r, s = c.r, c.s
-    families = (
-        ((c.F1_mod, ZERO), r - c.t1, 4),
-        ((mod_cyclic(scale(2, mul(c.h1, c.g1)), r), ZERO), c.t1 - c.t2, 2),
-        ((c.l, c.F2_mod), s - c.r1, 4),
-        ((mod_cyclic(mul(c.h2, c.l), r), mod_cyclic(scale(2, mul(c.h2, c.g2)), s)),
-         c.r1 - c.r2, 2),
-    )
-    return [(CodeVector(row[:r], row[r:]), radix) for pair, count, radix in families
-            for row in rotations(pair, r, s, count)]
+    """The rows of enumeration_basis(c) as CodeVectors, with their radices."""
+    rows, radices = enumeration_basis(c)
+    return [(CodeVector(row[:c.r], row[c.r:]), radix)
+            for row, radix in zip(rows, radices)]
 
 
 def generator_matrix(c: DoubleCyclicCode) -> linalg.MatZ4:
@@ -364,9 +348,28 @@ def contains(c: DoubleCyclicCode, v: CodeVector) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def enumeration_basis(c: DoubleCyclicCode):
-    """Generating rows with their digit radices, in counter order."""
-    gens = minimal_generating_set(c)
-    return tuple(v.concat() for v, _ in gens), tuple(radix for _, radix in gens)
+    """The S1, S2, S3, S4 rows, concatenated, with their radices (4 or
+    2), in that order, which is the enumeration's counter order.
+
+    The radix is the number of multiples of the row that the enumeration
+    counts through, not its additive order: an S4 row can have odd
+    entries and still has radix 2.
+
+    Each family is the rotations of one generator pair, r-t1, t1-t2,
+    s-r1 and r1-r2 of them; the sentinel encodings make the ranges of
+    absent families empty.
+    """
+    r, s = c.r, c.s
+    families = (
+        ((c.F1_mod, ZERO), r - c.t1, 4),
+        ((mod_cyclic(scale(2, mul(c.h1, c.g1)), r), ZERO), c.t1 - c.t2, 2),
+        ((c.l, c.F2_mod), s - c.r1, 4),
+        ((mod_cyclic(mul(c.h2, c.l), r), mod_cyclic(scale(2, mul(c.h2, c.g2)), s)),
+         c.r1 - c.r2, 2),
+    )
+    return (tuple(row for pair, count, _ in families
+                  for row in rotations(pair, r, s, count)),
+            tuple(radix for _, count, radix in families for _ in range(count)))
 
 
 def pack(vectors, n: int) -> np.ndarray:

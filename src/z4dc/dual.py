@@ -7,12 +7,13 @@ the pairing phi_map vanishes on every dual-by-primal generator pair,
 so the candidate lies in C-perp, and |C| * |candidate| = 4^(r+s), so
 it is all of C-perp.  The closed form computes no kernel; its report
 reads the kernel rows off the certified dual's Howell form, which is
-canonical and so equals the kernel's.  The Z4-level gcd of F1 and l is
-the Hensel lift of their residue gcd (residue_gcd; the residue divides
-x^r-1 with r odd, so the lift exists and is unique); that convention is
-what makes the closed-form dual arithmetic come out exactly.  The
-residue checks read the residue generators of C-perp off the certified
-dual's generators mod 2, with no F2 row reduction.
+canonical and so equals the kernel's.  All arithmetic is per block:
+no polynomial of degree lcm(r, s) is formed.  The Z4-level gcd of F1
+and l is the Hensel lift of their residue gcd (residue_gcd; the
+residue divides x^r-1 with r odd, so the lift exists and is unique);
+that convention is what makes the closed-form dual arithmetic come out
+exactly.  The residue checks read the residue generators of C-perp off
+the certified dual's generators mod 2, with no F2 row reduction.
 """
 
 from __future__ import annotations
@@ -70,32 +71,26 @@ def inner_product(u: CodeVector, v: CodeVector) -> int:
             + sum(a * b for a, b in zip(u.right, v.right))) % 4
 
 
-def _theta_step(m: int, step: int) -> Poly:
-    """1 + x^step + ... + x^(step*(m-1))."""
-    out = [0] * (step * (m - 1) + 1)
-    out[::step] = [1] * m
-    return tuple(out)
-
-
 def phi_map(c1: tuple[Poly, Poly], c2: tuple[Poly, Poly], r: int, s: int) -> Poly:
     """The bilinear pairing into Z4[x]/(x^k-1), k = lcm(r, s).
 
-    Each block contributes c1-part * theta_(k/len)(x^len) *
-    x^(k-1-deg c2-part) * reciprocal(c2-part); a zero c2 component
-    contributes nothing (its inner-product sum is empty).  Vanishes
-    exactly on pairs orthogonal under all simultaneous shifts.
+    A block of length n contributes its cyclic correlation c1-part *
+    x^((n-1-deg c2-part) mod n) * reciprocal(c2-part) mod x^n-1 repeated
+    with period n, which is the paper's theta_(k/n)(x^n) * x^(k-1-deg)
+    form; a zero c2 component contributes nothing.  Vanishes exactly on
+    pairs orthogonal under all simultaneous shifts.
     """
     k = math.lcm(r, s)
-    total = ZERO
-    for ci, cj, length in ((canon(c1[0]), canon(c2[0]), r),
-                           (canon(c1[1]), canon(c2[1]), s)):
+    out = [0] * k
+    for ci, cj, n in ((canon(c1[0]), canon(c2[0]), r),
+                      (canon(c1[1]), canon(c2[1]), s)):
         if ci == ZERO or cj == ZERO:
             continue
-        term = mul(ci, _theta_step(k // length, length))
-        term = mul(monomial(k - 1 - degree(cj)), term)
-        term = mul(term, reciprocal(cj))
-        total = add(total, mod_cyclic(term, k))
-    return mod_cyclic(total, k)
+        term = mul(mul(ci, monomial((n - 1 - degree(cj)) % n)), reciprocal(cj))
+        for i, a in enumerate(mod_cyclic(term, n)):
+            for j in range(i, k, n):
+                out[j] = (out[j] + a) % 4
+    return canon(out)
 
 
 def first_nonorthogonal_shift(u: CodeVector, v: CodeVector) -> int | None:
@@ -197,7 +192,7 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
 
     With d the Hensel lift of residue_gcd(c) the dual generators are
     F1_hat* = (x^r-1)/d,  F2_hat* = (x^s-1)*d/(F1*F2),  and l_hat from
-    l_hat* * F1 = nu * (x^r-1) where nu = x^(k - deg F2 + deg l) *
+    l_hat* * F1 = nu * (x^r-1) where nu = x^((deg l - deg F2) mod r) *
     (A*)^-1 modulo (F1/d)* with A = l/d.  So that callers can fall back
     to the kernel, it raises NotInvertible for a 2-torsion l or a d that
     does not divide l over Z4, and NotFree when no unit makes (l_hat|F2_hat)
@@ -210,7 +205,6 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
     if not c.is_free:
         raise NotFree("closed form requires f1 = g1 and f2 = g2")
     r, s = c.r, c.s
-    k = math.lcm(r, s)
     F1m, F2m = c.f1, c.f2  # monic representatives of the combined generators
     if c.l != ZERO and reduce_mod2(c.l) == f2poly.ZERO:
         raise NotInvertible(
@@ -240,7 +234,7 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
             raise NotInvertible("gcd(F1, l) does not divide l over Z4")
         a_star_inv = inverse_mod_monic(reciprocal(qa), modulus)
         nu = divmod_monic(
-            mul(monomial(k - c.r1 + degree(c.l)), a_star_inv), modulus)[1]
+            mul(monomial((degree(c.l) - c.r1) % r), a_star_inv), modulus)[1]
         l_hat_star = mod_cyclic(mul(nu, exact_div(xn_minus_1(r), F1m)), r)
         l_hat = reciprocal(l_hat_star) if l_hat_star != ZERO else ZERO
         # The congruence determines nu only modulo the ideal (2), i.e. up
@@ -360,7 +354,6 @@ def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
     what the degree identities force.
     """
     r, s = c.r, c.s
-    k = math.lcm(r, s)
     checks: dict[str, bool] = {}
 
     # residue generators of the dual, by the theorem above, from its
@@ -397,7 +390,7 @@ def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
         f2poly.degree(F2bar_hat)
         == s - f2poly.degree(F2bar) - f2poly.degree(F1bar) + f2poly.degree(dbar))
 
-    # nubar congruence
+    # nubar congruence; mbar divides x^r+1, so exponents are taken mod r
     nubar = None
     mbar = f2poly.polydivmod(reciprocal(F1bar), reciprocal(dbar))[0]
     if f2poly.degree(mbar) == 0 or not lbar:
@@ -410,12 +403,11 @@ def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
         if g != f2poly.ONE:
             checks["nubar_congruence"] = False
         else:
-            nubar = f2poly.polymod(
-                f2poly.mul(monomial(k - f2poly.degree(F2bar) + f2poly.degree(lbar)), u),
-                mbar)
+            dl, dF2 = f2poly.degree(lbar), f2poly.degree(F2bar)
+            nubar = f2poly.polymod(f2poly.mul(monomial((dl - dF2) % r), u), mbar)
             lhs = f2poly.add(
-                f2poly.mul(f2poly.mul(nubar, monomial(k - f2poly.degree(lbar) - 1)), astar),
-                monomial(k - f2poly.degree(F2bar) - 1))
+                f2poly.mul(f2poly.mul(nubar, monomial((-dl - 1) % r)), astar),
+                monomial((-dF2 - 1) % r))
             checks["nubar_congruence"] = f2poly.polymod(lhs, mbar) == f2poly.ZERO
 
     # Z4-lifted divisibility relations of the generator theory

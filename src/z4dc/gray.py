@@ -241,9 +241,13 @@ def gray_image_params(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
 
 def gray_words(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP):
     """Stream the Gray image, one 0/1 string per codeword, in
-    enumeration order."""
+    enumeration order.  The cap is checked on the call, before the
+    stream starts, so that a refused code leaves no output behind."""
     check_enum_cap(c, cap)
-    be = BlockEnumerator(*enumeration_basis(c), c.r + c.s)
+    return _gray_lines(BlockEnumerator(*enumeration_basis(c), c.r + c.s))
+
+
+def _gray_lines(be: BlockEnumerator):
     words = image = None
     for h in range(be.nblocks):
         words = be.block(h, words)

@@ -572,6 +572,13 @@ class TestGrayExport:
         assert cli.main(["gray-export", kerdock_spec,
                          "--max-enum", "10"]) == 3
 
+    def test_cap_exit_leaves_the_out_file_alone(self, kerdock_spec, tmp_path):
+        out = tmp_path / "words.txt"
+        out.write_text("earlier\n")
+        assert cli.main(["gray-export", kerdock_spec, "--out", str(out),
+                         "--max-enum", "16"]) == 3
+        assert out.read_text() == "earlier\n"
+
 
 # -- input fuzzer ------------------------------------------------------------
 #

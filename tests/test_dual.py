@@ -2,6 +2,7 @@
 relations, and projections."""
 
 import math
+import time
 
 import pytest
 
@@ -39,6 +40,12 @@ def pair_3_9():
     return validate(3, 9, f1=parse("x^2+x+1"), g1=parse("x^2+x+1"),
                     l=parse("x+1"), f2=parse("x^6+x^3+1"),
                     g2=parse("x^6+x^3+1"))
+
+
+# block lengths for the pairing tests; the last four have lcm(r, s)
+# well past r + s
+PAIRING_LENGTHS = [(1, 3), (3, 3), (1, 7), (3, 9), (3, 5),
+                   (5, 7), (7, 9), (15, 7), (9, 15)]
 
 
 def random_vector(rng, r, s):
@@ -79,7 +86,7 @@ class TestPhiMap:
         # shift index (up to the common x^-1), so it vanishes exactly
         # when every S_i does.  Checked by brute force over the shifts.
         for _ in range(200):
-            r, s = rng.choice([(1, 3), (3, 3), (1, 7), (3, 9), (3, 5)])
+            r, s = rng.choice(PAIRING_LENGTHS)
             k = math.lcm(r, s)
             u, v = random_vector(rng, r, s), random_vector(rng, r, s)
             expected = [0] * k
@@ -89,6 +96,18 @@ class TestPhiMap:
                     (expected[(i - 1) % k] + dual.inner_product(u, w)) % 4
                 w = shift_T(w)
             assert dual.phi_map(tau(u), tau(v), r, s) == zp.canon(expected)
+
+    def test_unreduced_components_pair_as_their_reductions(self, rng):
+        # a component of degree k or more pairs as its reduction mod x^n-1
+        assert dual.phi_map(((1,), ()), ((0, 0, 0, 1), ()), 3, 3) == (0, 0, 1)
+        for _ in range(100):
+            r, s = rng.choice(PAIRING_LENGTHS)
+            k = math.lcm(r, s)
+            c1, c2 = ((tuple(rng.randrange(4) for _ in range(rng.randrange(3 * k))),
+                       tuple(rng.randrange(4) for _ in range(rng.randrange(3 * k))))
+                      for _ in range(2))
+            reduced = [(zp.mod_cyclic(p, r), zp.mod_cyclic(q, s)) for p, q in (c1, c2)]
+            assert dual.phi_map(c1, c2, r, s) == dual.phi_map(*reduced, r, s)
 
     def test_reference_dual_pairs_vanish(self):
         c = pair_3_9()
@@ -121,10 +140,13 @@ class TestOrthogonalAllShifts:
             assert dual.inner_product(u, w) != 0
             found += 1
 
-    @pytest.mark.parametrize("r,s", [(1, 3), (3, 3), (1, 7), (3, 9)])
+    @pytest.mark.parametrize("r,s", PAIRING_LENGTHS)
     def test_equivalence_with_phi(self, rng, r, s):
-        for _ in range(220):
+        for i in range(220):
             u, v = random_vector(rng, r, s), random_vector(rng, r, s)
+            if i % 2:  # vectors of even entries are orthogonal throughout
+                u, v = (CodeVector(tuple(2 * a % 4 for a in w.left),
+                                   tuple(2 * a % 4 for a in w.right)) for w in (u, v))
             assert dual.orthogonal_all_shifts(u, v) == \
                 (dual.phi_map(tau(u), tau(v), r, s) == ())
 
@@ -314,6 +336,19 @@ class TestDualReportDispatch:
     def test_auto_prefers_free(self):
         rep = dual.dual_report(pair_3_9(), method="auto")
         assert rep.method == "free-closed-form"
+
+    def test_coprime_lengths_past_the_kernel_cap(self):
+        # k = lcm(255, 257) = 65535; the per-block pairing keeps the
+        # closed form well inside the budget
+        f2 = "x^16+2x^14+3x^12+3x^11+3x^8+3x^5+3x^4+2x^2+1"
+        c = from_spec_dict({"r": 255, "s": 257, "f1": "x+3", "g1": "x+3",
+                            "l": "1", "f2": f2, "g2": f2})
+        t0 = time.perf_counter()
+        rep = dual.dual_report(c)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 2.0, f"dual_report took {elapsed:.2f}s, budget 2s"
+        assert (rep.method, rep.kernel) == ("free-closed-form", None)
+        assert code_size(c) * code_size(rep.dual) == 4 ** (255 + 257)
 
     def test_auto_falls_back(self):
         c = validate(3, 3, f1=parse("x^3+3"), g1=(1,), f2=(1,), g2=(1,))
