@@ -2,9 +2,9 @@
 
 Exact tooling for the quaternary double cyclic code family: canonical
 generator quintuples, minimal generating sets and sizes, Gray map and
-Lee weight analytics, dual-code construction (closed form and kernel
-oracle), and exhaustive generator-space search.  All arithmetic is
-exact.
+Lee weight analytics, dual-code construction (by theorem for free
+codes, by the kernel otherwise), and exhaustive generator-space
+search.  All arithmetic is exact.
 """
 
 from .code import (

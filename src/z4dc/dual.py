@@ -1,19 +1,23 @@
 """Duality of double cyclic codes: inner products, the bilinear pairing,
-dual generator extraction, closed-form free duals, and residue checks.
+dual generator extraction, free duals by theorem, and residue checks.
 
-Every dual, closed-form or extracted from the Z4 kernel of the
+Every dual, by theorem or extracted from the Z4 kernel of the
 generator matrix (module linalg), carries one certificate (_is_dual):
 the pairing phi_map vanishes on every dual-by-primal generator pair,
 so the candidate lies in C-perp, and |C| * |candidate| = 4^(r+s), so
-it is all of C-perp.  The closed form computes no kernel; its report
-reads the kernel rows off the certified dual's Howell form, which is
-canonical and so equals the kernel's.  All arithmetic is per block:
-no polynomial of degree lcm(r, s) is formed.  The Z4-level gcd of F1
-and l is the Hensel lift of their residue gcd (residue_gcd; the
-residue divides x^r-1 with r odd, so the lift exists and is unique);
-that convention is what makes the closed-form dual arithmetic come out
-exactly.  The residue checks read the residue generators of C-perp off
-the certified dual's generators mod 2, with no F2 row reduction.
+it is all of C-perp.  Every free code gets its dual by theorem
+(dual_free), at any (r, s): the dual's left and right ideals are the
+cyclic duals of C's left projection and of C_R0 = {v : (0|v) in C},
+and its mixing polynomial solves the pairing's one congruence.  That
+route computes no kernel; its report reads the kernel rows off the
+certified dual's Howell form, which is canonical and so equals the
+kernel's.  All arithmetic is per block: no polynomial of degree
+lcm(r, s) is formed.  The Z4-level gcd of F1 and l is the Hensel lift
+of their residue gcd (residue_gcd; the residue divides x^r-1 with r
+odd, so the lift exists and is unique); when it divides l over Z4 the
+dual is free and comes in closed form.  The residue checks read the
+residue generators of C-perp off the certified dual's generators mod
+2, with no F2 row reduction.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .code import (
     code_size,
     generator_matrix,
     poly_to_vec,
+    rotations,
     shift_T,
     spec_dict,
     validate,
@@ -39,7 +44,6 @@ from .errors import (
     InternalCheckFailed,
     InvalidInput,
     NotFree,
-    NotInvertible,
 )
 from .z4poly import (
     Poly,
@@ -47,6 +51,7 @@ from .z4poly import (
     add,
     canon,
     degree,
+    divides,
     divmod_monic,
     exact_div,
     hensel_lift,
@@ -111,18 +116,18 @@ def orthogonal_all_shifts(u: CodeVector, v: CodeVector) -> bool:
 def residue_gcd(c: DoubleCyclicCode) -> f2poly.Poly:
     """gcd(x^r+1, F1 mod 2, l mod 2) over F2: the residue gcd of F1 and
     l, since F1 mod 2 is the residue of the monic divisor f1 of x^r-1.
-    Its Hensel lift is the Z4-level gcd convention of the closed form."""
+    Its Hensel lift is the Z4-level gcd convention of dual_free."""
     return f2poly.cyclic_gcd((reduce_mod2(c.F1), reduce_mod2(c.l)), c.r)
 
 
 @dataclass(frozen=True)
 class DualReport:
-    """The dual code and the route that found it, with the closed form's
+    """The dual code and the route that found it, with dual_free's
     F1_hat_star, F2_hat_star and nu (None on the kernel route).
 
     kernel is the Howell form of C-perp, or None past the kernel cap."""
 
-    method: str  # "free-closed-form" | "brute-kernel"
+    method: str  # "free-closed-form" | "free-residue-factors" | "brute-kernel"
     dual: DoubleCyclicCode | None
     kernel: linalg.MatZ4 | None
     F1_hat_star: Poly | None = None
@@ -187,75 +192,144 @@ def dual_brute_force(c: DoubleCyclicCode,
     return K, report
 
 
-def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> DualReport:
-    """Closed-form dual of a free code.
+def _iota(p: Poly, n: int) -> Poly:
+    """p(x^-1) mod x^n-1: coefficient i moves to -i mod n."""
+    out = [0] * n
+    for i, a in enumerate(p):
+        out[-i % n] = (out[-i % n] + a) % 4
+    return canon(out)
 
-    With d the Hensel lift of residue_gcd(c) the dual generators are
-    F1_hat* = (x^r-1)/d,  F2_hat* = (x^s-1)*d/(F1*F2),  and l_hat from
-    l_hat* * F1 = nu * (x^r-1) where nu = x^((deg l - deg F2) mod r) *
-    (A*)^-1 modulo (F1/d)* with A = l/d.  So that callers can fall back
-    to the kernel, it raises NotInvertible for a 2-torsion l or a d that
-    does not divide l over Z4, and NotFree when no unit makes (l_hat|F2_hat)
-    orthogonal to C or the dual fails _is_dual.  F2_hat* divides exactly
-    on valid codes (f1/d | h2 mod 2, and a residue factor of x^r-1 and
-    x^s-1 has one lift), so a remainder is InternalCheckFailed.  No
-    kernel is computed: when r+s fits the cap, the report's kernel is
-    the certified dual's Howell form.
+
+def _pairing_target(c: DoubleCyclicCode, F2h: Poly) -> Poly:
+    """T with phi_map((l_hat, F2h), (l, F2)) = 0 iff l_hat * iota(l) = T
+    mod x^r-1: the right block's correlation F2h * iota(F2) has period
+    g = gcd(r, s) on the dual's candidates, so the left block must
+    cancel it, -(s/g) times its reduction mod x^g-1 extended with
+    period g.  Both factors are reduced mod x^g-1 before the product."""
+    r, s = c.r, c.s
+    g = math.gcd(r, s)
+    b = mod_cyclic(mul(mod_cyclic(F2h, g), _iota(mod_cyclic(c.F2_mod, g), g)), g)
+    return scale(-(s // g), canon((b + (0,) * (g - len(b))) * (r // g)))
+
+
+def _dual_ideal(f: Poly, g: Poly, n: int) -> tuple[Poly, Poly, Poly]:
+    """The cyclic dual (f', g') of the ideal (f + 2g) of Z4[x]/(x^n-1),
+    and a generator of its annihilator, reduced.  Residue and torsion
+    factors swap: the annihilator is generated by a = (x^n-1)/g plus
+    2b, b = (x^n-1)/f (by a alone when f = g), and f', g' are the
+    reciprocals of a and b (Pless and Qian, IEEE-IT 42(5), 1996); the
+    sentinel x^n-1 and the full ring 1 map to each other."""
+    a, b = exact_div(xn_minus_1(n), g), exact_div(xn_minus_1(n), f)
+    star = mod_cyclic(a if a == b else add(a, scale(2, b)), n)
+    return make_monic(reciprocal(a)), make_monic(reciprocal(b)), star
+
+
+def _torsion_exponent(p: f2poly.Poly, f: Poly, g: Poly) -> int:
+    """e with the component of the ideal (f + 2g) at the residue factor
+    p equal to 2^e times the Galois ring (e = 2: zero): one for each of
+    f and g that p divides."""
+    return sum(not f2poly.polymod(reduce_mod2(q), p) for q in (f, g))
+
+
+def _projection_ideals(c: DoubleCyclicCode):
+    """The ideals (f, g) of the left projection of C, (F1, l), and of
+    C_R0 = {v : (0|v) in C} = J * F2 with J = ((F1) : l), read off the
+    residue factors.  C_R0 is full at a factor of x^s-1 that does not
+    divide x^g-1, g = gcd(r, s), because J contains x^r-1 and x^s-1;
+    elsewhere its exponent is F2's plus J's, max(e(F1) - e(l), 0), with
+    e(l) 0, 1 or 2 as l is a unit there, twice one, or zero."""
+    r, s = c.r, c.s
+    shared = f2poly.xn_plus_1(math.gcd(r, s))
+    fR = gR = f2poly.ONE
+    for p in f2poly.factor_cyclic(s):
+        e = _torsion_exponent(p, c.f2, c.g2)
+        if e < 2 and not f2poly.polymod(shared, p):
+            e_l = (0 if f2poly.polymod(reduce_mod2(c.l), p)
+                   else 1 if divmod_monic(c.l, hensel_lift(p, r))[1] else 2)
+            e += max(_torsion_exponent(p, c.f1, c.g1) - e_l, 0)
+        if e >= 1:
+            fR = f2poly.mul(fR, p)
+        if e >= 2:
+            gR = f2poly.mul(gR, p)
+    return (canonicalize_ideal([c.F1_mod, c.l], r),
+            (hensel_lift(fR, s), hensel_lift(gR, s)))
+
+
+def _solve_l_hat(c: DoubleCyclicCode, T: Poly) -> Poly:
+    """The canonical l_hat with l_hat * iota(F1) = 0 and l_hat * iota(l)
+    = T mod x^r-1, by one Howell solve: the rows x^j (iota(F1) |
+    iota(l) | 1) span the pairs' images beside their left blocks, so
+    (0 | T | 0) reduces to (0 | 0 | -l_hat), and the rows with a zero
+    image are the Howell form of the dual's left-only part, modulo
+    which l_hat is then reduced (dual_brute_force's rule)."""
+    r = c.r
+    eye = [(0,) * j + (1,) + (0,) * (r - 1 - j) for j in range(r)]
+    rows = rotations((_iota(c.F1_mod, r), _iota(c.l, r)), r, r, r)
+    h = linalg.howell(linalg.MatZ4(tuple(a + e for a, e in zip(rows, eye)), 3 * r))
+    resid = linalg.coset_representative(h, (0,) * r + poly_to_vec(T, r) + (0,) * r)
+    if any(resid[:2 * r]):
+        raise InternalCheckFailed("no left block pairs the dual's right generator to zero")
+    return canon(linalg.coset_representative(
+        h, (0,) * (2 * r) + tuple(-x for x in resid[2 * r:]))[2 * r:])
+
+
+def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> DualReport:
+    """The dual of a free code, by theorem.
+
+    The dual's left ideal is the cyclic dual of the left projection of
+    C, (F1, l), and its right ideal that of C_R0 = {v : (0|v) in C}
+    (Borges, Fernandez-Cordoba and Ten-Valls, IEEE-IT 62(11), 2016);
+    F1_hat_star and F2_hat_star generate the annihilators of those
+    projections, whose reciprocals generate the dual's ideals
+    (_dual_ideal).  With d the Hensel lift of residue_gcd(c) dividing l
+    over Z4 (the closed form, "free-closed-form"), both projections are
+    free: F1_hat* = (x^r-1)/d and F2_hat* = (x^s-1)/(f2*m), m = f1/d,
+    which divides exactly on valid codes (m | h2 mod 2, and a residue
+    factor of x^r-1 and x^s-1 has one lift).  With iota(p) = p(x^-1),
+    the pairing vanishes on (l_hat | F2_hat) iff l_hat * iota(F1) = 0
+    and l_hat * iota(l) = T (_pairing_target), which fixes
+    l_hat = iota(h1 * t), h1 = (x^r-1)/f1, t = rho * (l/d)^-1 mod m
+    and rho = iota(T) / (h1 * d).  Otherwise (a 2-torsion l, or d not
+    dividing l over Z4; "free-residue-factors") the dual is not free:
+    both ideals come from the residue factors (_projection_ideals) and
+    l_hat from one Howell solve in r unknowns (_solve_l_hat).  nu is
+    reciprocal(l_hat) / h1, the paper's l_hat* * F1 = nu * (x^r-1).
+    The certificate is _is_dual; its failure is InternalCheckFailed.
+    No kernel is computed: when r+s fits the cap, the report's kernel
+    is the certified dual's Howell form.
     """
     if not c.is_free:
         raise NotFree("closed form requires f1 = g1 and f2 = g2")
     r, s = c.r, c.s
-    F1m, F2m = c.f1, c.f2  # monic representatives of the combined generators
-    if c.l != ZERO and reduce_mod2(c.l) == f2poly.ZERO:
-        raise NotInvertible(
-            "the residue-gcd convention cannot see a 2-torsion mixing "
-            "polynomial; use the kernel oracle")
     d1 = hensel_lift(residue_gcd(c), r)
-
-    F1hs = exact_div(xn_minus_1(r), d1)
-    if mod_cyclic(F1hs, r) == ZERO:
-        f1h = g1h = xn_minus_1(r)  # dual left generator vanishes
+    closed = divides(d1, c.l)
+    if closed:
+        m = exact_div(c.f1, d1)
+        left, right = (d1, d1), (mul(c.f2, m),) * 2
     else:
-        f1h = g1h = make_monic(reciprocal(F1hs))
-
-    F2hs = exact_div(mul(xn_minus_1(s), d1), mul(F1m, F2m))
-    if mod_cyclic(F2hs, s) == ZERO:
-        f2h = g2h = xn_minus_1(s)
-    else:
-        f2h = g2h = make_monic(reciprocal(F2hs))
-
-    modulus = make_monic(reciprocal(exact_div(F1m, d1)))
-    if degree(modulus) == 0:
-        nu = ZERO
+        left, right = _projection_ideals(c)
+    f1h, g1h, F1_hat_star = _dual_ideal(*left, r)
+    f2h, g2h, F2_hat_star = _dual_ideal(*right, s)
+    h1 = c.h1
+    if not closed:
+        l_hat = _solve_l_hat(c, _pairing_target(c, add(f2h, scale(2, g2h))))
+    elif degree(m) == 0:
         l_hat = ZERO
     else:
-        qa, rema = divmod_monic(c.l, d1)
-        if rema:
-            raise NotInvertible("gcd(F1, l) does not divide l over Z4")
-        a_star_inv = inverse_mod_monic(reciprocal(qa), modulus)
-        nu = divmod_monic(
-            mul(monomial((degree(c.l) - c.r1) % r), a_star_inv), modulus)[1]
-        l_hat_star = mod_cyclic(mul(nu, exact_div(xn_minus_1(r), F1m)), r)
-        l_hat = reciprocal(l_hat_star) if l_hat_star != ZERO else ZERO
-        # The congruence determines nu only modulo the ideal (2), i.e. up
-        # to a unit; pick the representative whose mixed generator pairs
-        # to zero with the primal code.
-        if l_hat != ZERO:
-            F2h = mod_cyclic(add(f2h, scale(2, g2h)), s)
-            unit = next((u for u in (1, 3) if _pairs_to_zero(
-                c, [(mod_cyclic(scale(u, l_hat), r), F2h)])), None)
-            if unit is None:
-                raise NotFree("closed form did not produce a dual generator pair")
-            nu = scale(unit, nu)
-            l_hat = scale(unit, l_hat)
+        T = _pairing_target(c, add(f2h, scale(2, g2h)))
+        rho = exact_div(_iota(T, r), mul(h1, d1))
+        t = divmod_monic(mul(rho, inverse_mod_monic(exact_div(c.l, d1), m)), m)[1]
+        l_hat = _iota(mul(h1, t), r)
 
     dual_code = validate(r, s, f1h, g1h, l_hat, f2h, g2h)
     if not _is_dual(c, dual_code):
-        raise NotFree("closed-form dual fails the pairing certificate")
+        raise InternalCheckFailed(
+            f"the dual of the free code {spec_dict(c)} fails the pairing certificate")
     K = linalg.howell(generator_matrix(dual_code)).matrix if r + s <= kernel_cap else None
-    return DualReport(method="free-closed-form", dual=dual_code, kernel=K,
-                      F1_hat_star=mod_cyclic(F1hs, r),
-                      F2_hat_star=mod_cyclic(F2hs, s),
+    nu = ZERO if dual_code.l == ZERO else exact_div(reciprocal(dual_code.l), h1)
+    return DualReport(method="free-closed-form" if closed else "free-residue-factors",
+                      dual=dual_code, kernel=K,
+                      F1_hat_star=F1_hat_star, F2_hat_star=F2_hat_star,
                       l_hat=dual_code.l, nu=nu)
 
 
@@ -264,24 +338,19 @@ def _generators(c: DoubleCyclicCode) -> list[tuple[Poly, Poly]]:
     return [(c.F1_mod, ZERO), (c.l, c.F2_mod)]
 
 
-def _pairs_to_zero(c: DoubleCyclicCode, pairs) -> bool:
-    """Whether every pair is orthogonal to the code under all shifts,
-    i.e. phi_map vanishes against both generators of c."""
-    return all(phi_map(p, g, c.r, c.s) == ZERO
-               for p in pairs for g in _generators(c))
-
-
 def _is_dual(c: DoubleCyclicCode, d: DoubleCyclicCode) -> bool:
     """The duality certificate: d is orthogonal to c (phi_map vanishes
-    on every pair of a d generator and a c generator) and |c| * |d| =
-    4^(r+s), so d is all of C-perp."""
-    return (_pairs_to_zero(c, _generators(d))
+    on every pair of a d generator and a c generator, so on all shifts
+    of both) and |c| * |d| = 4^(r+s), so d is all of C-perp."""
+    return (all(phi_map(p, g, c.r, c.s) == ZERO
+                for p in _generators(d) for g in _generators(c))
             and code_size(c) * code_size(d) == 4 ** (c.r + c.s))
 
 
 def dual_report(c: DoubleCyclicCode, method: str = "auto",
                 kernel_cap: int = DEFAULT_KERNEL_CAP) -> DualReport:
-    """Dispatch: closed form when applicable, kernel otherwise."""
+    """Dispatch: every free code to dual_free, the others to the kernel
+    (dual_brute_force) within the cap."""
     if method == "free":
         return dual_free(c, kernel_cap=kernel_cap)
     if method == "brute":
@@ -289,10 +358,7 @@ def dual_report(c: DoubleCyclicCode, method: str = "auto",
     if method != "auto":
         raise InvalidInput(f"unknown dual method {method!r}")
     if c.is_free:
-        try:
-            return dual_free(c, kernel_cap=kernel_cap)
-        except (NotFree, NotInvertible):
-            pass
+        return dual_free(c, kernel_cap=kernel_cap)
     if c.r + c.s <= kernel_cap:
         return dual_brute_force(c, cap=kernel_cap)[1]
     raise DimensionCapExceeded(

@@ -32,10 +32,12 @@ ONE: Poly = (1,)
 
 
 def canon(coeffs) -> Poly:
+    """Reduce coefficients mod 2 and strip trailing zeros, all of them
+    in one step (as bytes)."""
     out = [c % 2 for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    if not out or out[-1]:
+        return tuple(out)
+    return tuple(bytes(out).rstrip(b"\0"))
 
 
 def degree(a: Poly) -> int:

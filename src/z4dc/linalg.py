@@ -26,13 +26,15 @@ unit pivots, 0x02 at 2-pivots) jumps to the columns where a row is
 still reducible against the rows below it.  The form is canonical, so
 the rows equal those of the entry-by-entry column sweep that the tests
 keep as the oracle.  coset_representative reduces by the same masked
-step, and kernel runs the sweep on [m^T | I].
+step, against rows that each form packs once, and kernel runs the
+sweep on [m^T | I].
 
 All values are immutable; every function is pure.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
@@ -58,6 +60,16 @@ class HowellForm:
 
     matrix: MatZ4
     pivots: tuple[tuple[int, int], ...]
+
+    @functools.cached_property
+    def _reducer(self) -> tuple[dict, int, int]:
+        """What coset_representative reduces by, packed once per form: the
+        rows {column: (row, pivot)}, their _eliminate lane mask and the
+        _lanes mask."""
+        m3 = _lanes(self.matrix.ncols)
+        rows = {j: (_pack(row, m3), piv)
+                for (j, piv), row in zip(self.pivots, self.matrix.rows)}
+        return rows, sum((4 - piv) << (j << 3) for j, piv in self.pivots), m3
 
 
 def _lanes(n: int) -> int:
@@ -141,11 +153,10 @@ def coset_representative(h: HowellForm, v) -> tuple[int, ...]:
     """Canonical representative of v modulo the row span: v (entries
     taken mod 4) reduced left to right over the pivots by
     v -= (v[j] // pivot) * row; zero iff v lies in the span."""
-    n, m3 = h.matrix.ncols, _lanes(h.matrix.ncols)
+    n = h.matrix.ncols
     if len(v) != n:
         raise DimensionMismatch(f"vector length {len(v)} != ncols {n}")
-    rows = {j: (_pack(row, m3), piv) for (j, piv), row in zip(h.pivots, h.matrix.rows)}
-    mask = sum((4 - piv) << (j << 3) for j, piv in h.pivots)
+    rows, mask, m3 = h._reducer
     return tuple(_eliminate(_pack(v, m3), rows, mask, m3).to_bytes(n, "little"))
 
 

@@ -21,6 +21,7 @@ import functools
 
 from .errors import (
     InternalCheckFailed,
+    InvalidInput,
     NonUnitLeadingCoefficient,
     NotADivisor,
     NotInvertible,
@@ -37,11 +38,12 @@ X: Poly = (0, 1)
 
 
 def canon(coeffs) -> Poly:
-    """Reduce coefficients mod 4 and strip trailing zeros."""
+    """Reduce coefficients mod 4 and strip trailing zeros, all of them
+    in one step (as bytes)."""
     out = [c % 4 for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    if not out or out[-1]:
+        return tuple(out)
+    return tuple(bytes(out).rstrip(b"\0"))
 
 
 def degree(a: Poly) -> int:
@@ -90,7 +92,9 @@ def mul(a: Poly, b: Poly) -> Poly:
 
 @memoize
 def monomial(k: int, c: int = 1) -> Poly:
-    """c * x^k."""
+    """c * x^k, for k >= 0."""
+    if k < 0:
+        raise InvalidInput(f"monomial exponent must be >= 0, got {k}")
     return canon([0] * k + [c])
 
 

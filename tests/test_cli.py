@@ -226,6 +226,27 @@ class TestDual:
         assert report["dual_size"] * 4 ** 2 * 2 == 4 ** 66
 
 
+    @pytest.mark.parametrize("f1, l, method", [
+        ("x+3", "2", "free-residue-factors"),  # 2-torsion l
+        ("x^3+3", "x+1", "free-residue-factors"),  # gcd(F1, l) does not divide l
+        ("x^2+x+1", "x", "free-closed-form"),  # no unit made the old nu pair
+    ])
+    def test_free_code_past_the_kernel_cap_needs_no_force(self, tmp_path, capsys,
+                                                           f1, l, method):
+        # r+s = 66 > 64: these free codes once fell back to the kernel and
+        # exited 3 without --force; now the theorem gives their dual
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"r": 33, "s": 33, "f1": f1, "g1": f1,
+                                    "l": l, "f2": "1", "g2": "1"}))
+        assert cli.main(["dual", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == method and "kernel_rows" not in report
+        size = code.code_size(code.from_spec_dict(json.loads(path.read_text())))
+        assert report["dual_size"] * size == 4 ** 66
+        assert cli.main(["dual", str(path), "--method", "brute", "--force"]) == 0
+        assert json.loads(capsys.readouterr().out)["dual"] == report["dual"]
+
+
 class TestVerifyExamples:
     def test_case5_passes(self, capsys):
         rc = cli.main(["verify-examples", "--only", "5"])

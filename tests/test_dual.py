@@ -3,14 +3,17 @@ relations, and projections."""
 
 import math
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import (
+    divisor_lattice_of,
     epsilon,
     gcd_convention_faithful,
     projection_size,
     random_code,
+    random_poly,
     residue_generators_by_elimination,
     span_size,
 )
@@ -31,9 +34,13 @@ from z4dc.errors import (
     DimensionMismatch,
     InvalidInput,
     NotFree,
-    NotInvertible,
+    Z4DCError,
 )
 from z4dc.polytext import parse
+
+
+def quintuple(c):
+    return c.f1, c.g1, c.l, c.f2, c.g2
 
 
 def pair_3_9():
@@ -255,19 +262,26 @@ class TestDualFree:
         assert rep.dual.f1 == (1,)  # dual left part is everything
         assert rep.l_hat == ()
 
-    def test_two_torsion_mixing_falls_back(self):
+    def test_two_torsion_mixing_gets_the_kernel_dual(self):
+        # the residue-gcd convention cannot see a 2-torsion l, and the
+        # dual is not free; the residue factors give it exactly
         c = validate(3, 3, f1=parse("x+3"), g1=parse("x+3"), l=(2,),
                      f2=parse("x^2+x+1"), g2=parse("x^2+x+1"))
-        with pytest.raises((NotFree, NotInvertible)):
-            dual.dual_free(c)
-        dual.dual_brute_force(c)  # the oracle path still works
+        rep = dual.dual_free(c)
+        K, brep = dual.dual_brute_force(c)
+        assert rep.method == "free-residue-factors"
+        assert quintuple(rep.dual) == quintuple(brep.dual)
+        assert not rep.dual.is_free
+        assert rep.kernel.rows == K.rows
 
-    def test_population_closed_form_or_sanctioned_fallback(self, rng):
-        successes = fallbacks = 0
+    def test_population_matches_the_kernel_dual(self, rng):
+        # every valid free code of these lattices gets the kernel route's
+        # quintuple, most of them by the closed form
+        from z4dc.search import divisor_lattice
+
+        methods = Counter()
         pairs = [(3, 3), (3, 9), (9, 3), (3, 7), (7, 3), (3, 15), (15, 3)]
         for r, s in pairs:
-            from z4dc.search import divisor_lattice
-
             for f1 in divisor_lattice(r):
                 for f2 in divisor_lattice(s):
                     ls = {(), (1,)}
@@ -277,39 +291,31 @@ class TestDualFree:
                         try:
                             c = validate(r, s, f1=f1, g1=f1, l=l,
                                          f2=f2, g2=f2)
-                        except Exception:
+                        except Z4DCError:
                             continue
-                        try:
-                            rep = dual.dual_free(c)
-                        except (NotFree, NotInvertible):
-                            fallbacks += 1
-                            K, brep = dual.dual_brute_force(c)
-                            assert code_size(brep.dual) * code_size(c) == \
-                                4 ** (r + s)
-                            continue
-                        K, _ = dual.dual_brute_force(c)
-                        assert la.span_equal(generator_matrix(rep.dual), K)
-                        successes += 1
-        assert successes >= 200
-        assert successes > 3 * fallbacks  # closed form covers the bulk
+                        rep = dual.dual_free(c)
+                        K, brep = dual.dual_brute_force(c)
+                        assert quintuple(rep.dual) == quintuple(brep.dual), spec_dict(c)
+                        assert rep.kernel.rows == K.rows
+                        methods[rep.method] += 1
+        assert methods["free-closed-form"] >= 200, methods
+        assert methods["free-closed-form"] > 3 * methods["free-residue-factors"] > 0
 
 
 def test_closed_form_divisions_are_exact_on_valid_free_codes(rng):
-    """F1*F2 divides (x^s-1)*d on every valid free code (the dual_free
-    docstring gives the reason), so the closed form's exact division
-    never raises InternalCheckFailed; lengths with common residue
-    factors (gcd(r, s) > 1) are the ones the argument needs."""
+    """F2_hat* = (x^s-1)/(f2*m) and rho = iota(T)/(h1*d) divide exactly
+    on every valid free code that the closed form takes (the dual_free
+    docstring gives the reason), so dual_free raises no
+    InternalCheckFailed; lengths with common residue factors
+    (gcd(r, s) > 1) are the ones the argument needs."""
     lengths = (1, 3, 5, 7, 9, 15, 21)
     divided = shared = 0
     for _ in range(400):
         c = random_code(rng, r_choices=lengths, s_choices=lengths,
                         free_only=True)
-        try:
-            dual.dual_free(c)
-        except (NotFree, NotInvertible):
-            pass
-        # codes past the 2-torsion check reach the division
-        reached = c.l == () or zp.reduce_mod2(c.l) != ()
+        rep = dual.dual_free(c)
+        reached = rep.method == "free-closed-form"
+        assert reached == gcd_convention_faithful(c)
         divided += reached
         shared += reached and c.l != () and math.gcd(c.r, c.s) > 1
     assert divided >= 300 and shared >= 25, (divided, shared)
@@ -319,17 +325,58 @@ def test_closed_form_kernel_rows_equal_the_kernel(rng):
     """The closed form reads kernel_rows off the dual's Howell form; over
     a seeded free population they equal the kernel of the primal
     generator matrix, computed independently."""
-    checked = 0
     for _ in range(150):
         c = random_code(rng, r_choices=(1, 3, 5, 7, 9),
                         s_choices=(1, 3, 5, 7, 9), free_only=True)
-        try:
-            rep = dual.dual_free(c)
-        except (NotFree, NotInvertible):
-            continue
+        rep = dual.dual_free(c)
         assert rep.kernel.rows == la.kernel(generator_matrix(c)).rows
-        checked += 1
-    assert checked >= 100, checked
+
+
+def test_auto_dual_of_every_free_shape_is_the_kernel_dual(rng, monkeypatch):
+    """Over seeded free codes of the shapes the closed form once missed,
+    dual_report(auto) computes no kernel and returns dual_brute_force's
+    quintuple.  l is a random polynomial, twice one (2-torsion), or
+    d*a + 2b for a divisor d of f1: a unit or twice one at each factor
+    of f1, so it validates only when f1 divides (x^s-1)/f2, and often d
+    divides it mod 2 but not over Z4."""
+    lengths = (1, 3, 5, 7, 9, 15, 21)
+    seen = Counter()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the free dual reached the kernel route")
+
+    while seen["codes"] < 400:
+        r = rng.choice(lengths)
+        f1 = rng.choice(divisor_lattice_of(r))
+        a, b = random_poly(rng, r - 1), random_poly(rng, r - 1)
+        kind = rng.randrange(3)
+        if kind < 2:
+            s = rng.choice(lengths)
+            f2 = rng.choice(divisor_lattice_of(s))
+            l = zp.scale(1 + kind, a)
+        else:
+            s = rng.choice([n for n in lengths if n % r == 0])
+            f2 = rng.choice([q for q in divisor_lattice_of(s) if zp.divides(
+                f1, zp.exact_div(zp.xn_minus_1(s), q))])
+            d = rng.choice([q for q in divisor_lattice_of(r) if zp.divides(q, f1)])
+            l = zp.add(zp.mul(d, a), zp.scale(2, b))
+        try:
+            c = validate(r, s, f1=f1, g1=f1, l=l, f2=f2, g2=f2)
+        except Z4DCError:
+            continue
+        _, brep = dual.dual_brute_force(c)
+        with monkeypatch.context() as m:
+            m.setattr(la, "kernel", refuse)
+            m.setattr(dual, "dual_brute_force", refuse)
+            rep = dual.dual_report(c, method="auto")
+        assert quintuple(rep.dual) == quintuple(brep.dual), spec_dict(c)
+        two_torsion = c.l != () and zp.reduce_mod2(c.l) == ()
+        seen.update({"codes": 1, "g > 1": c.l != () and math.gcd(r, s) > 1,
+                     "2-torsion l": two_torsion,
+                     "d does not divide l": not two_torsion
+                     and not gcd_convention_faithful(c),
+                     "r != s": r != s, "r or s = 1": 1 in (r, s), rep.method: 1})
+    assert min(seen.values()) >= 25 and len(seen) == 8, seen
 
 
 class TestDualReportDispatch:
@@ -362,10 +409,7 @@ class TestDualReportDispatch:
     def test_methods_agree(self, rng):
         for _ in range(40):
             c = random_code(rng, free_only=True, max_size=2 ** 16)
-            try:
-                free = dual.dual_free(c)
-            except (NotFree, NotInvertible):
-                continue
+            free = dual.dual_free(c)
             brute = dual.dual_report(c, method="brute")
             assert la.span_equal(generator_matrix(free.dual),
                                  generator_matrix(brute.dual))
@@ -430,11 +474,9 @@ class TestResidueDualCheck:
             expected = residue_generators_by_elimination(K, c.r, c.s)
             duals = [brep.dual]
             if c.is_free:
-                try:
-                    duals.append(dual.dual_free(c).dual)
-                    seen["closed-form"] += 1
-                except (NotFree, NotInvertible):
-                    pass
+                rep = dual.dual_free(c)
+                duals.append(rep.dual)
+                seen["closed-form"] += rep.method == "free-closed-form"
             for d in duals:
                 chk = dual.residue_dual_check(c, K, d)
                 assert (chk.F1bar_hat, chk.lbar_hat, chk.F2bar_hat) == expected, \

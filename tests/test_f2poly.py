@@ -173,5 +173,17 @@ def test_division_by_zero_raises_every_time(a):
     check_rejected_again(fp.polydivmod, (a, ()), ZeroDivisionError)
 
 
+@settings(max_examples=100)
+@given(st.lists(st.integers(-5, 300), max_size=40),
+       st.lists(st.sampled_from([0, 2, -4, 296]), max_size=30))
+def test_canon_equals_the_popping_loop(coeffs, zeros):
+    """canon against a loop with one list.pop per trailing zero."""
+    padded = coeffs + zeros  # trailing entries that vanish mod 2
+    out = [c % 2 for c in padded]
+    while out and out[-1] == 0:
+        out.pop()
+    assert fp.canon(padded) == fp.canon(iter(padded)) == tuple(out)
+
+
 def test_gcd_of_zeros_raises_every_time():
     check_rejected_again(fp.gcd, ((), ()), BothZero)

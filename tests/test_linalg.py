@@ -116,6 +116,19 @@ def test_packed_howell_kernel_and_reduction_match_the_sweep(rng):
         assert la.coset_representative(h, v) == coset_representative_by_sweep(h, v)
 
 
+def test_coset_representative_packs_each_form_once(rng, monkeypatch):
+    """Reducing many vectors against one Howell form packs its rows on
+    the first call only: each later call packs just its vector."""
+    h = la.howell(raw_matrix(rng))
+    packed = []
+    pack = la._pack
+    monkeypatch.setattr(la, "_pack", lambda row, m3: packed.append(row) or pack(row, m3))
+    vs = [tuple(rng.randrange(4) for _ in range(h.matrix.ncols)) for _ in range(20)]
+    reps = [la.coset_representative(h, v) for v in vs]
+    assert len(packed) == len(h.matrix.rows) + len(vs)
+    assert reps == [coset_representative_by_sweep(h, v) for v in vs]
+
+
 def test_kernel_of_a_long_generator_matrix_is_exact():
     """The kernel dual of a non-free (127, 127) code: every kernel row
     is orthogonal to every generator row, and the kernel and the span

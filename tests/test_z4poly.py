@@ -15,6 +15,7 @@ from conftest import (
 )
 from z4dc import f2poly, z4poly as zp
 from z4dc.errors import (
+    InvalidInput,
     NonUnitLeadingCoefficient,
     NotADivisor,
     NotInvertible,
@@ -26,6 +27,22 @@ from z4dc.polytext import parse
 def mul_mod_cyclic(a, b, n):
     """The product a*b reduced mod x^n - 1, as the library forms it."""
     return zp.mod_cyclic(zp.mul(a, b), n)
+
+
+def canon_by_popping(coeffs):
+    """canon as a loop with one list.pop per trailing zero."""
+    out = [c % 4 for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-9, 300), max_size=40),
+       st.lists(st.sampled_from([0, 4, -8, 296]), max_size=30))
+def test_canon_equals_the_popping_loop(coeffs, zeros):
+    padded = coeffs + zeros  # trailing entries that vanish mod 4
+    assert zp.canon(padded) == zp.canon(iter(padded)) == canon_by_popping(padded)
 
 
 class TestMulModCyclic:
@@ -314,6 +331,12 @@ def test_memoized_equals_uncached(name, data):
 @given(polys, non_unit_lead)
 def test_division_by_non_unit_lead_raises_every_time(a, d):
     check_rejected_again(zp.divmod_monic, (a, d), NonUnitLeadingCoefficient)
+
+
+@pytest.mark.parametrize("args", [(-1,), (-3, 2)])
+def test_negative_monomial_exponent_raises_every_time(args):
+    # [0] * k is empty for k < 0, which once made monomial(-1) the constant 1
+    check_rejected_again(zp.monomial, args, InvalidInput)
 
 
 def test_reciprocal_of_zero_raises_every_time():
