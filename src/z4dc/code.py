@@ -201,6 +201,16 @@ def in_ideal(f: Poly, g: Poly, w: Poly) -> bool:
             and not f2poly.polymod(reduce_mod2(w), reduce_mod2(f)))
 
 
+def annihilator(f: Poly, g: Poly, n: int) -> Poly:
+    """A generator of the annihilator of the ideal (f + 2g) of
+    Z4[x]/(x^n-1), g | f | x^n-1, reduced: (x^n-1)/g plus 2(x^n-1)/f,
+    or the first alone when f = g (Pless and Qian, IEEE-IT 42(5),
+    1996).  The ring is quasi-Frobenius, so the annihilator of this
+    annihilator is (f + 2g) again."""
+    a, b = exact_div(xn_minus_1(n), g), exact_div(xn_minus_1(n), f)
+    return mod_cyclic(a if a == b else add(a, scale(2, b)), n)
+
+
 def _check_chain(gsmall: Poly, gbig: Poly, modulus: Poly, names: str):
     small, big, mod = names.split(" | ")
     for a, b, na, nb in ((gsmall, gbig, small, big), (gbig, modulus, big, mod)):
@@ -346,29 +356,33 @@ def contains(c: DoubleCyclicCode, v: CodeVector) -> bool:
 # -- codeword enumeration -----------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def enumeration_basis(c: DoubleCyclicCode):
-    """The S1, S2, S3, S4 rows, concatenated, with their radices (4 or
-    2), in that order, which is the enumeration's counter order.
-
-    The radix is the number of multiples of the row that the enumeration
-    counts through, not its additive order: an S4 row can have odd
-    entries and still has radix 2.
-
-    Each family is the rotations of one generator pair, r-t1, t1-t2,
-    s-r1 and r1-r2 of them; the sentinel encodings make the ranges of
-    absent families empty.
-    """
+def generator_families(c: DoubleCyclicCode):
+    """The S1, S2, S3, S4 families as (generator pair, count, radix):
+    each family is the rotations of its pair, r-t1, t1-t2, s-r1 and
+    r1-r2 of them; the sentinel encodings make the ranges of absent
+    families empty."""
     r, s = c.r, c.s
-    families = (
+    return (
         ((c.F1_mod, ZERO), r - c.t1, 4),
         ((mod_cyclic(scale(2, mul(c.h1, c.g1)), r), ZERO), c.t1 - c.t2, 2),
         ((c.l, c.F2_mod), s - c.r1, 4),
         ((mod_cyclic(mul(c.h2, c.l), r), mod_cyclic(scale(2, mul(c.h2, c.g2)), s)),
          c.r1 - c.r2, 2),
     )
+
+
+@functools.lru_cache(maxsize=64)
+def enumeration_basis(c: DoubleCyclicCode):
+    """The rows of generator_families, concatenated, with their radices
+    (4 or 2), in that order, which is the enumeration's counter order.
+
+    The radix is the number of multiples of the row that the enumeration
+    counts through, not its additive order: an S4 row can have odd
+    entries and still has radix 2.
+    """
+    families = generator_families(c)
     return (tuple(row for pair, count, _ in families
-                  for row in rotations(pair, r, s, count)),
+                  for row in rotations(pair, c.r, c.s, count)),
             tuple(radix for _, count, radix in families for _ in range(count)))
 
 

@@ -29,6 +29,7 @@ from . import f2poly, linalg, polytext
 from .code import (
     CodeVector,
     DoubleCyclicCode,
+    annihilator,
     canonicalize_ideal,
     code_size,
     generator_matrix,
@@ -216,12 +217,11 @@ def _dual_ideal(f: Poly, g: Poly, n: int) -> tuple[Poly, Poly, Poly]:
     """The cyclic dual (f', g') of the ideal (f + 2g) of Z4[x]/(x^n-1),
     and a generator of its annihilator, reduced.  Residue and torsion
     factors swap: the annihilator is generated by a = (x^n-1)/g plus
-    2b, b = (x^n-1)/f (by a alone when f = g), and f', g' are the
+    2b, b = (x^n-1)/f (code.annihilator), and f', g' are the
     reciprocals of a and b (Pless and Qian, IEEE-IT 42(5), 1996); the
     sentinel x^n-1 and the full ring 1 map to each other."""
     a, b = exact_div(xn_minus_1(n), g), exact_div(xn_minus_1(n), f)
-    star = mod_cyclic(a if a == b else add(a, scale(2, b)), n)
-    return make_monic(reciprocal(a)), make_monic(reciprocal(b)), star
+    return make_monic(reciprocal(a)), make_monic(reciprocal(b)), annihilator(f, g, n)
 
 
 def _torsion_exponent(p: f2poly.Poly, f: Poly, g: Poly) -> int:

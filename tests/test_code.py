@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (brute_span, code_engine, code_vector, codewords,
-                      counter_words, ideal_rows, mat, naive_mul, random_code,
-                      random_poly, span_size, xstar_mul)
+                      counter_words, ideal_rows, mat, naive_mod_cyclic, naive_mul,
+                      random_code, random_poly, span_size, xstar_mul)
 from z4dc import code, f2poly as f2, linalg as la, z4poly as zp
 from z4dc.code import (
     CodeVector,
@@ -452,6 +452,28 @@ def spanning_sets(draw):
 def test_canonicalize_ideal_matches_howell_span(case):
     n, spanning = case
     assert_canonical_pair_spans(spanning, n)
+
+
+@st.composite
+def ideals(draw):
+    n = draw(st.sampled_from(IDEAL_LENGTHS))
+    return (n, *draw(cyclic_ideals(n)))
+
+
+@settings(max_examples=80)
+@given(ideals())
+def test_annihilator_generates_the_whole_annihilator(case):
+    # (star) lies in Ann((F)), and |(star)| * |(F)| = 4^n, the size of
+    # Ann((F)) in a Frobenius ring, so the two are equal
+    n, f, g = case
+    F = zp.add(f, zp.scale(2, g))
+    star = code.annihilator(f, g, n)
+    assert naive_mod_cyclic(naive_mul(star, F), n) == ()
+
+    def size(p):
+        return span_size(la.howell(mat(ideal_rows(p, n), n)))
+
+    assert size(star) * size(F) == 4 ** n
 
 
 class TestSpecDictRoundTrip:

@@ -14,10 +14,12 @@ from conftest import (
     gray_image_is_linear,
     gray_image_words,
     gray_inverse,
+    naive_mod_cyclic,
+    naive_mul,
     random_code,
     shaped_code,
 )
-from z4dc import code, dual, gray, linalg, z4poly
+from z4dc import code, dual, gray, linalg, search as search_module, z4poly
 from z4dc.code import code_size, contains, validate
 from z4dc.dual import dual_report
 from z4dc.errors import (
@@ -27,6 +29,7 @@ from z4dc.errors import (
     ZeroCode,
 )
 from z4dc.polytext import parse
+from z4dc.reference import REFERENCE_CASES
 from z4dc.search import search
 
 
@@ -144,6 +147,38 @@ def kernel_rows(c):
     return linalg.kernel(code.generator_matrix(c)).rows
 
 
+def glue_bases(c):
+    """The (rows, radices) of the glue route's left and right engines,
+    from the Howell form of the rows (kappa(a) | b | a), kappa(a) =
+    a * annihilator(F1) multiplied longhand row by row: the glue rows
+    (pivot in kappa) first, then the C_L0 rows (pivot in a) on the
+    left and the C_R0 rows (pivot in b) on the right."""
+    r, s = c.r, c.s
+    star = code.annihilator(c.f1, c.g1, r)
+    rows = tuple(code.poly_to_vec(naive_mod_cyclic(naive_mul(row[:r], star), r), r)
+                 + row[r:] + row[:r] for row in code.enumeration_basis(c)[0])
+    h = linalg.howell(linalg.MatZ4(rows, 2 * r + s))
+    glue, right, left = ([(row, 4 // p) for row, (j, p) in zip(h.matrix.rows, h.pivots)
+                          if lo <= j < hi]
+                         for lo, hi in ((0, r), (r, r + s), (r + s, 2 * r + s)))
+
+    def basis(part, cols):
+        return (tuple(row[cols] for row, _ in glue + part),
+                tuple(radix for _, radix in glue + part))
+
+    return basis(left, slice(r + s, None)), basis(right, slice(r, r + s))
+
+
+def glue_class_count(c, engines):
+    """|G| = |pi_L C| * |pi_R C| / |C| when lee_enumerator(c) built the
+    two glue engines (the last two of engines), else None."""
+    if len(engines) < 2 or [e[:2] for e in engines[-2:]] != list(glue_bases(c)):
+        return None
+    (*_, left), (*_, right) = engines[-2:]
+    return (left.nblocks * left.block_size * right.nblocks * right.block_size
+            // code_size(c))
+
+
 @pytest.fixture
 def engines(monkeypatch):
     """Every BlockEnumerator built while the test runs, as (rows,
@@ -213,23 +248,31 @@ class TestMacWilliamsRoute:
         assert rows == kernel_rows(c)
         assert be.nblocks * be.block_size == 2 ** 18 and be.nblocks >= 4
 
-    @pytest.mark.parametrize("shape, bits, through_dual", [
+    # route: True through the kernel, False direct, "glue" through the
+    # two projections.  Glue takes the (3, 15) tie at 2^18 words (64 +
+    # 4096 words), so the tie that stays direct is a case (ii) code.
+    @pytest.mark.parametrize("shape, bits, route", [
         ((1, 15), 18, True),    # 2^18 words, dual of 2^14
-        ((3, 15), 18, False),   # a tie: |C| = |C-perp| = 2^18
+        ((1, 17), 18, False),   # a tie: |C| = |C-perp| = 2^18
         ((1, 7), 14, False),    # dual of 2^2 words, but only DIRECT_MAX words
         ((3, 9), 15, True),     # 2^15 > DIRECT_MAX words, dual of 2^9
+        ((3, 15), 18, "glue"),  # |G| = 1: 64 + 4096 words, not 2^18
+        ((3, 63), 18, "glue"),  # |G| = 4: 4 * (16 + 4096) words
+        ((15, 5), 20, "glue"),  # r > s: 2^18 + 4 words, not 2^20
     ])
-    def test_routing(self, shape, bits, through_dual, engines):
+    def test_routing(self, shape, bits, route, engines):
         c = shaped_code(random.Random(7), *shape, max_bits=bits, min_bits=bits)
         gray.lee_enumerator(c)
-        expected = code.enumeration_basis(c)
-        if through_dual:
+        expected = [code.enumeration_basis(c)]
+        if route == "glue":
+            expected = list(glue_bases(c))
+        elif route:
             # the kernel is its own Howell form; a row of pivot p takes
             # 4 // p multiples
             h = linalg.howell(linalg.MatZ4(kernel_rows(c), c.r + c.s))
             assert h.matrix.rows == kernel_rows(c)
-            expected = (kernel_rows(c), tuple(4 // p for _, p in h.pivots))
-        assert [(rows, radices) for rows, radices, _ in engines] == [expected]
+            expected = [(kernel_rows(c), tuple(4 // p for _, p in h.pivots))]
+        assert [(rows, radices) for rows, radices, _ in engines] == expected
 
     def test_route_needs_no_dual_report(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -264,6 +307,135 @@ class TestMacWilliamsRoute:
         dual_hist[2] += 1
         with pytest.raises(InternalCheckFailed):
             gray._macwilliams(dual_hist, code_size(c))
+
+
+class TestGlueRoute:
+    """C is the disjoint union, over G = pi_L C / C_L0, of a left coset
+    times a right coset, so W = sum_g A_g * B_g; direct enumeration of C
+    is the oracle."""
+
+    SMALL_SHAPES = ((1, 7), (7, 1), (3, 9), (9, 3), (5, 5), (3, 7), (7, 3),
+                    (7, 9), (3, 15), (15, 3))
+
+    def test_forced_glue_matches_direct_enumeration(self):
+        # glue on codes of up to 2^14 words, which lee_enumerator would
+        # enumerate directly: every case, and blocks of many classes
+        rnd = random.Random(2026)
+        kinds = Counter()
+        for _ in range(300):
+            c = shaped_code(rnd, *rnd.choice(self.SMALL_SHAPES), max_bits=14)
+            size = code_size(c)
+            left, m_left, right, m_right = gray._glue_engines(c, size, 1 << 400)
+            kinds["case " + c.case] += 1
+            kinds["G > 1" if size > m_left * m_right else "G = 1"] += 1
+            kinds["r < s" if c.r < c.s else "r > s"] += 1
+            if right.block_size > m_right:
+                kinds["classes per block"] += 1
+            assert gray._glue_counts(left, m_left, right, m_right, size, 1) == \
+                direct_counts(c)
+        assert set(kinds) == {"case i", "case ii", "case iii", "G > 1", "G = 1",
+                              "r < s", "r > s", "classes per block"}
+
+    # (shapes, draws): codes of 2^15..2^20 words, past 64 symbols too
+    POPULATIONS = (
+        (((3, 15), (15, 3), (5, 15), (15, 5), (7, 9), (9, 7), (3, 21), (21, 3),
+          (9, 9)), 60),
+        (((3, 63), (63, 3)), 16),
+    )
+
+    def test_population_matches_direct_enumeration(self, engines):
+        rnd = random.Random(2027)
+        kinds = Counter()
+        for shapes, draws in self.POPULATIONS:
+            for _ in range(draws):
+                c = shaped_code(rnd, *rnd.choice(shapes), max_bits=20, min_bits=15)
+                engines.clear()
+                assert gray.lee_enumerator(c).counts == direct_counts(c)
+                n_glue = glue_class_count(c, engines[:-1])
+                if n_glue is None:
+                    assert len(engines) == 2
+                    continue
+                assert c.case == "iii"
+                kinds["G > 1" if n_glue > 1 else "G = 1"] += 1
+                kinds["r < s" if c.r < c.s else "r > s"] += 1
+                kinds["r+s > 64" if c.r + c.s > 64 else "r+s <= 64"] += 1
+        assert set(kinds) == {"G > 1", "G = 1", "r < s", "r > s", "r+s > 64",
+                              "r+s <= 64"}
+
+    def test_case_ii_builds_the_same_engines(self, engines, monkeypatch):
+        # no glue work at all for |C_L0| = 1: reference case 2 and every
+        # candidate of search 1 15 --forms ii enumerate what they did
+        # before the glue route, C or its kernel
+        def refuse(*args):
+            raise AssertionError("glue work for a code with |C_L0| = 1")
+
+        monkeypatch.setattr(gray, "annihilator", refuse)
+        calls = []
+        enumerate_code = gray.lee_enumerator
+
+        def recording(c, *args, **kwargs):
+            before = len(engines)
+            out = enumerate_code(c, *args, **kwargs)
+            calls.append((c, engines[before:]))
+            return out
+
+        monkeypatch.setattr(search_module, "lee_enumerator", recording)
+        search(1, 15, forms=("ii",))
+        recording(code.from_spec_dict(REFERENCE_CASES[1]["spec"]))
+        assert len(calls) > 600
+        for c, built in calls:
+            size = code_size(c)
+            expected = code.enumeration_basis(c)
+            if size > gray.DIRECT_MAX and size > 2 ** (c.r + c.s):
+                rows = kernel_rows(c)
+                expected = (rows, tuple(4 // next(filter(None, row)) for row in rows))
+            assert [e[:2] for e in built] == [expected]
+
+    def test_sharded_glue_is_bit_identical(self, engines, monkeypatch):
+        # |G| = 16 classes of 2^14 words on a right engine of four blocks
+        c = shaped_code(random.Random(2), 3, 63, max_bits=20, min_bits=20)
+        ranges = []
+        histogram_range = gray._histogram_range
+
+        def recording(be, lo, hi, m):
+            ranges.append((be, lo, hi))
+            return histogram_range(be, lo, hi, m)
+
+        monkeypatch.setattr(gray, "_histogram_range", recording)
+        assert gray.lee_enumerator(c, jobs=2) == gray.lee_enumerator(c, jobs=1)
+        assert glue_class_count(c, engines[:2]) == 16
+        rights = engines[1][2], engines[3][2]
+        assert rights[0].nblocks == 4
+        assert [[(lo, hi) for be, lo, hi in ranges if be is right]
+                for right in rights] == [[(0, 2), (2, 4)], [(0, 4)]]
+        assert gray.lee_enumerator(c).counts == direct_counts(c)
+
+    def test_howell_form_missing_a_row_fails_the_size_check(self, monkeypatch):
+        howell = linalg.howell
+
+        def dropping(m):
+            h = howell(m)
+            return linalg.HowellForm(linalg.MatZ4(h.matrix.rows[1:], m.ncols),
+                                     h.pivots[1:])
+
+        monkeypatch.setattr(linalg, "howell", dropping)
+        c = shaped_code(random.Random(7), 3, 63, max_bits=18, min_bits=18)
+        with pytest.raises(InternalCheckFailed, match="glue basis spans"):
+            gray.lee_enumerator(c)
+
+    def test_class_histogram_moved_to_another_class_fails(self, monkeypatch):
+        class_histograms = gray._class_histograms
+
+        def moving(be, m, jobs=1):
+            hist = class_histograms(be, m, jobs)
+            hist[0] += hist[1]
+            hist[1] = 0
+            return hist
+
+        monkeypatch.setattr(gray, "_class_histograms", moving)
+        c = shaped_code(random.Random(7), 3, 63, max_bits=18, min_bits=18)
+        with pytest.raises(InternalCheckFailed, match="class histograms"):
+            gray.lee_enumerator(c)
 
 
 class TestGrayImageParams:
