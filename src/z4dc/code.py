@@ -429,22 +429,33 @@ class BlockEnumerator:
     `filled` entries done, entry d*filled + k is entry k plus d times
     the next row.  The leading digits of h become one offset word
     vector that each block adds to the table, into a caller's buffer
-    when it passes one, so a loop over blocks allocates nothing.
+    when it passes one, so a loop over blocks allocates nothing.  A
+    block holds at most max_block words, by default 2^16 uint64 in all.
+    Blocks are mirrored when there are several and every radix-2 row r
+    has 2r = 0 (not so for an S4 row or pivot-2 Howell row with an odd
+    entry): the digits then map Z4^a x Z2^b onto the span additively,
+    so the blocks, cosets of the trailing digits' subgroup, negate to
+    whole blocks.
     """
 
-    def __init__(self, rows, radices, ncols: int, max_block: int = 1 << 16):
+    def __init__(self, rows, radices, ncols: int, max_block: int | None = None):
+        self.ncols = ncols
+        self.nwords = -(-ncols // 32)
+        if max_block is None:
+            max_block = (1 << 16) // self.nwords
         split = len(radices)
         width = 1
         while split > 0 and width * radices[split - 1] <= max_block:
             width *= radices[split - 1]
             split -= 1
-        self.ncols = ncols
-        self.nwords = -(-ncols // 32)
+        self.radices = tuple(radices)
         self.block_size = width
         self.nblocks = math.prod(radices[:split])
         # multiples[i, d] is d times row i, packed
         once = pack(rows, ncols)
         twice = lane_add(once, once)
+        self.mirrored = self.nblocks > 1 and not any(
+            twice[i].any() for i, rad in enumerate(radices) if rad == 2)
         multiples = np.stack((np.zeros_like(once), once, twice, lane_add(twice, once)),
                              axis=1)
         self._high = [multiples[i, :radices[i]] for i in range(split)]
@@ -457,6 +468,16 @@ class BlockEnumerator:
                                multiples[i, d])
             filled *= radices[i]
         self._table = table
+
+    def negation(self, index):
+        """The index of the negated word, for an int or an int array,
+        when mirrored: each radix-4 digit d becomes (4 - d) % 4."""
+        out, place = 0, 1
+        for rad in reversed(self.radices):
+            index, d = divmod(index, rad)
+            out += place * (-d % rad)
+            place *= rad
+        return out
 
     def block(self, h: int, out: np.ndarray | None = None) -> np.ndarray:
         """(block_size, nwords) packed codewords of block h, column-major,

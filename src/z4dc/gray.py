@@ -39,14 +39,18 @@ set-up costs about that much):
 
 Weight histograms are computed blockwise with 64-bit counters and merge
 associatively, so sharded runs reproduce the sequential histogram bit
-for bit.  Each contiguous range of blocks (one per thread of jobs) owns
-two block-sized buffers, allocated once: the engine writes each block
-into the first, and the Gray image, its popcounts and their sum over
-word columns are formed in the second, so the loop over blocks
-allocates nothing block-sized but the block's rows of the class
-histograms.  Linearity of the Gray image is decided exactly, without
-enumeration, by the Z4-linearity criterion on pairs of generating
-rows.
+for bit.  A span equals its negation, which keeps Lee weight (Hammons,
+Kumar, Calderbank, Sloane and Sole, IEEE-IT 40(2), 1994).  So when
+every radix-2 row r has 2r = 0 (a mirrored BlockEnumerator), only the
+block h <= g of each negation pair (h, g) is enumerated, its class
+rows counting at the classes of both; else every block counts once.
+Each contiguous run of those blocks (one per thread of jobs) owns two
+block-sized buffers, allocated once: the engine writes each block into
+the first, and the Gray image, its popcounts and their sum over word
+columns are formed in the second, so the loop over blocks allocates
+nothing block-sized but the block's rows of the class histograms.
+Linearity of the Gray image is decided exactly, without enumeration,
+by the Z4-linearity criterion on pairs of generating rows.
 """
 
 from __future__ import annotations
@@ -135,39 +139,57 @@ def _lee_weights(words: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return counts[:, 0]
 
 
-def _histogram_range(be: BlockEnumerator, lo: int, hi: int, m: int) -> np.ndarray:
+def _block_pairs(be: BlockEnumerator) -> list[tuple[int, int]]:
+    """(h, g) for each block h <= g, block g being -(block h); (h, h)
+    for every block unless mirrored."""
+    if not be.mirrored:
+        return [(h, h) for h in range(be.nblocks)]
+    size = be.block_size
+    return [(h, g) for h in range(be.nblocks)
+            if h <= (g := be.negation(h * size) // size)]
+
+
+def _histogram_range(be: BlockEnumerator, pairs, m: int) -> np.ndarray:
     """Lee weight counts 0..2*ncols of each class of m consecutive words
-    (m a power of two dividing the word count) over blocks lo..hi-1, as
-    a (classes, 2*ncols+1) array.  A block of k > 1 classes shifts the
-    weights of its class i by i*(2*ncols+1), in place, before one
-    bincount."""
+    (m a product of trailing radices) over the block pairs (h, g) of
+    _block_pairs, as a (classes, 2*ncols+1) array.  A block of k > 1
+    classes shifts the weights of its class i by i*(2*ncols+1), in
+    place, before one bincount.  When g != h they count again at the
+    classes of block g that negate them, class digits being leading."""
     width = 2 * be.ncols + 1
     acc = np.zeros((be.nblocks * be.block_size // m, width), dtype=np.int64)
     k = max(be.block_size // m, 1)
     shift = np.arange(0, k * width, width)[:, None]
+    # negation sends class i of a block to class mirror[i] of block g, and back
+    mirror = be.negation(np.arange(k) * m) // m if be.mirrored and k > 1 else slice(None)
     # one block buffer and one Gray buffer per range, so threads do not
     # share them: fresh block-sized arrays per block cost page faults
     words = np.empty((be.block_size, be.nwords), dtype=np.uint64, order="F")
     buf = np.empty_like(words)
-    for h in range(lo, hi):
+    for h, g in pairs:
         weights = _lee_weights(be.block(h, words), buf)
         if k > 1:
             by_class = weights.reshape(k, m)  # a view: buf is column-major
             by_class += shift
+        rows = np.bincount(weights, minlength=k * width).reshape(k, width)
         first = h * be.block_size // m
-        acc[first:first + k] += np.bincount(weights, minlength=k * width).reshape(k, width)
+        acc[first:first + k] += rows
+        if g != h:
+            first = g * be.block_size // m
+            acc[first:first + k] += rows[mirror]
     return acc
 
 
 def _class_histograms(be: BlockEnumerator, m: int, jobs: int = 1) -> np.ndarray:
     """The Lee histogram of each class of m consecutive words of the
-    engine, by enumeration; with jobs > 1 and at least 2*jobs blocks,
-    contiguous block ranges run on jobs threads."""
-    if jobs <= 1 or be.nblocks < 2 * jobs:
-        return _histogram_range(be, 0, be.nblocks, m)
-    bounds = [be.nblocks * i // jobs for i in range(jobs + 1)]
+    engine, by enumeration; with jobs > 1 and at least 2*jobs block
+    pairs, contiguous runs of them run on jobs threads."""
+    pairs = _block_pairs(be)
+    if jobs <= 1 or len(pairs) < 2 * jobs:
+        return _histogram_range(be, pairs, m)
+    bounds = [len(pairs) * i // jobs for i in range(jobs + 1)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(lambda ab: _histogram_range(be, *ab, m),
+        return sum(pool.map(lambda ab: _histogram_range(be, pairs[ab[0]:ab[1]], m),
                             zip(bounds, bounds[1:])))
 
 
@@ -212,9 +234,14 @@ def _macwilliams(dual_hist, size: int) -> dict[int, int]:
                 f"over |C-perp| = {dual_size}")
         if a:
             counts[j] = a
+    return _certified(counts, size, "MacWilliams transform")
+
+
+def _certified(counts: dict[int, int], size: int, route: str) -> dict[int, int]:
+    """counts; InternalCheckFailed unless A_0 = 1 and they total size."""
     if counts.get(0) != 1 or sum(counts.values()) != size:
         raise InternalCheckFailed(
-            f"MacWilliams transform gives A_0 = {counts.get(0, 0)} and "
+            f"{route} gives A_0 = {counts.get(0, 0)} and "
             f"{sum(counts.values())} codewords, not 1 and {size}")
     return counts
 
@@ -292,7 +319,7 @@ def lee_enumerator(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
     through its kernel, C-perp (|C-perp| words), any other directly
     (|C| words), unless glue (|pi_L C| + |pi_R C| words, _glue_engines)
     costs more than GLUE_MIN_SAVED words less.  cap bounds |C| on every
-    route.
+    route, and every route checks A_0 = 1 and the total |C|.
     """
     size = check_enum_cap(c, cap)
     n = c.r + c.s
@@ -306,7 +333,8 @@ def lee_enumerator(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP,
         dual_hist = _lee_histogram(kernel, radices, n, jobs)
         return LeeEnumerator(_macwilliams(dual_hist, size))
     hist = _lee_histogram(*enumeration_basis(c), n, jobs)
-    return LeeEnumerator({w: int(k) for w, k in enumerate(hist) if k})
+    return LeeEnumerator(_certified({w: int(k) for w, k in enumerate(hist) if k},
+                                    size, "direct enumeration"))
 
 
 @dataclass(frozen=True)

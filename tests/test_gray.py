@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -392,22 +393,26 @@ class TestGlueRoute:
             assert [e[:2] for e in built] == [expected]
 
     def test_sharded_glue_is_bit_identical(self, engines, monkeypatch):
-        # |G| = 16 classes of 2^14 words on a right engine of four blocks
+        # |G| = 16 classes of 2^14 words on a mirrored right engine of 16
+        # one-class blocks (2^15 words fit in a block at 63 columns), 10
+        # of them representatives of their negation pair
         c = shaped_code(random.Random(2), 3, 63, max_bits=20, min_bits=20)
-        ranges = []
+        shards = []
         histogram_range = gray._histogram_range
 
-        def recording(be, lo, hi, m):
-            ranges.append((be, lo, hi))
-            return histogram_range(be, lo, hi, m)
+        def recording(be, pairs, m):
+            shards.append((be, pairs))
+            return histogram_range(be, pairs, m)
 
         monkeypatch.setattr(gray, "_histogram_range", recording)
         assert gray.lee_enumerator(c, jobs=2) == gray.lee_enumerator(c, jobs=1)
         assert glue_class_count(c, engines[:2]) == 16
         rights = engines[1][2], engines[3][2]
-        assert rights[0].nblocks == 4
-        assert [[(lo, hi) for be, lo, hi in ranges if be is right]
-                for right in rights] == [[(0, 2), (2, 4)], [(0, 4)]]
+        assert rights[0].nblocks == 16 and rights[0].mirrored
+        pairs = gray._block_pairs(rights[0])
+        assert len(pairs) == 10
+        assert [[p for be, p in shards if be is right] for right in rights] \
+            == [[pairs[:5], pairs[5:]], [pairs]]
         assert gray.lee_enumerator(c).counts == direct_counts(c)
 
     def test_howell_form_missing_a_row_fails_the_size_check(self, monkeypatch):
@@ -435,6 +440,142 @@ class TestGlueRoute:
         monkeypatch.setattr(gray, "_class_histograms", moving)
         c = shaped_code(random.Random(7), 3, 63, max_bits=18, min_bits=18)
         with pytest.raises(InternalCheckFailed, match="class histograms"):
+            gray.lee_enumerator(c)
+
+
+def class_histograms_once(rows, radices, ncols, m):
+    """The Lee histogram of each class of m consecutive words of the
+    span, enumerated as one block, each word's weight summed from its
+    unpacked symbols."""
+    width = 2 * ncols + 1
+    words = code.BlockEnumerator(rows, radices, ncols, max_block=1 << 20).block(0)
+    weights = np.take(gray.LEE_WEIGHTS, code.unpack(words, ncols)).sum(axis=1)
+    classes = np.arange(len(words)) // m
+    return np.bincount(classes * width + weights,
+                       minlength=len(words) // m * width).reshape(-1, width)
+
+
+class TestNegationPairs:
+    """C = -C and Lee weight is invariant under negation, so a mirrored
+    engine enumerates one block (h, g) of each negation pair and counts
+    it at both; enumerating every block once is the oracle."""
+
+    SHAPES = ((1, 7), (7, 1), (3, 9), (9, 3), (5, 5), (3, 7), (7, 3), (1, 15),
+              (3, 15), (15, 3))
+
+    def test_mirrored_histograms_match_every_block_once(self):
+        rnd = random.Random(2028)
+        kinds = Counter()
+        for _ in range(60):
+            c = shaped_code(rnd, *rnd.choice(self.SHAPES), max_bits=11, min_bits=6)
+            size, n = code_size(c), c.r + c.s
+            engines = [("basis", *code.enumeration_basis(c), n, None)]
+            if 4 ** n <= size << 12:  # a dual of at most 2^12 words
+                kernel = kernel_rows(c)
+                engines.append(("kernel", kernel,
+                                tuple(4 // next(filter(None, row)) for row in kernel),
+                                n, None))
+            _, m_left, _, m_right = gray._glue_engines(c, size, 1 << 400)
+            (left, right) = glue_bases(c)
+            engines += [("glue", *left, c.r, m_left), ("glue", *right, c.s, m_right)]
+            for kind, rows, radices, ncols, m in engines:
+                for max_block in (4, 32):
+                    be = code.BlockEnumerator(rows, radices, ncols, max_block=max_block)
+                    classes = m or be.nblocks * be.block_size
+                    assert (gray._class_histograms(be, classes) ==
+                            class_histograms_once(rows, radices, ncols, classes)).all()
+                    pairs = gray._block_pairs(be)
+                    assert sorted({b for pair in pairs for b in pair}) == \
+                        list(range(be.nblocks))
+                    if not be.mirrored:
+                        assert len(pairs) == be.nblocks
+                        if be.nblocks > 1 and any(
+                                rad == 2 and any(a % 2 for a in row)
+                                for row, rad in zip(rows, radices)):
+                            kinds["fallback, odd radix-2 row"] += 1
+                        continue
+                    if len(pairs) == be.nblocks:
+                        continue  # every block its own mirror
+                    kinds[kind] += 1
+                    if kind == "glue" and be.block_size > classes:
+                        kinds["glue, classes per block"] += 1
+                    if kind == "glue" and be.block_size < classes < be.nblocks * be.block_size:
+                        kinds["glue, class over blocks"] += 1
+        assert set(kinds) == {"basis", "kernel", "glue", "glue, classes per block",
+                              "glue, class over blocks", "fallback, odd radix-2 row"}
+
+    def test_reference_case_2_counts_136_of_256_blocks(self):
+        c = code.from_spec_dict(REFERENCE_CASES[1]["spec"])
+        be = code.BlockEnumerator(*code.enumeration_basis(c), c.r + c.s)
+        assert be.mirrored and be.nblocks == 256 and be.block_size == 2 ** 16
+        # the 16 blocks whose four leading radix-4 digits are 0 or 2 are
+        # their own mirrors; the other 240 pair up
+        pairs = gray._block_pairs(be)
+        assert len(pairs) == 136
+        assert sum(h == g for h, g in pairs) == 16
+
+    def test_sharded_direct_is_bit_identical(self, engines, monkeypatch):
+        # a case (ii) code of 2^20 words, counted directly in 16 blocks,
+        # 10 of them representatives
+        c = shaped_code(random.Random(0), 5, 15, max_bits=20, min_bits=20)
+        shards = []
+        histogram_range = gray._histogram_range
+
+        def recording(be, pairs, m):
+            shards.append(pairs)
+            return histogram_range(be, pairs, m)
+
+        monkeypatch.setattr(gray, "_histogram_range", recording)
+        assert gray.lee_enumerator(c, jobs=2) == gray.lee_enumerator(c, jobs=1)
+        assert [e[:2] for e in engines] == [code.enumeration_basis(c)] * 2
+        pairs = gray._block_pairs(engines[0][2])
+        assert engines[0][2].mirrored and len(pairs) == 10
+        assert shards == [pairs[:5], pairs[5:], pairs]
+
+    def test_sharded_runs_differ_by_at_most_one_pair(self, monkeypatch):
+        c = code.from_spec_dict(REFERENCE_CASES[1]["spec"])
+        be = code.BlockEnumerator(*code.enumeration_basis(c), c.r + c.s)
+        sizes = []
+        monkeypatch.setattr(gray, "_histogram_range",
+                            lambda be, pairs, m: sizes.append(len(pairs)) or 0)
+        for jobs in (2, 3, 5):
+            sizes.clear()
+            gray._class_histograms(be, be.nblocks * be.block_size, jobs)
+            assert sum(sizes) == 136 and len(sizes) == jobs
+            assert max(sizes) - min(sizes) <= 1
+
+    def direct_code(self):
+        """A case (ii) code of 2^18 words that lee_enumerator counts
+        directly, in four blocks: 0 and 2 their own mirrors, 1 and 3 a
+        pair."""
+        c = shaped_code(random.Random(7), 1, 17, max_bits=18, min_bits=18)
+        be = code.BlockEnumerator(*code.enumeration_basis(c), c.r + c.s)
+        assert gray._block_pairs(be) == [(0, 0), (1, 3), (2, 2)]
+        return c, be.block_size
+
+    def patch_mirror(self, monkeypatch, block, mirror, size):
+        """negation sends the first word of `block` to that of `mirror`."""
+        negation = code.BlockEnumerator.negation
+
+        def patched(be, index):
+            return mirror * size if index == block * size else negation(be, index)
+
+        monkeypatch.setattr(code.BlockEnumerator, "negation", patched)
+
+    def test_self_paired_block_counted_twice_fails(self, monkeypatch):
+        c, size = self.direct_code()
+        self.patch_mirror(monkeypatch, 0, 2, size)
+        with pytest.raises(InternalCheckFailed,
+                           match=f"direct enumeration gives A_0 = 2 and "
+                                 f"{2 ** 18 + size} codewords"):
+            gray.lee_enumerator(c)
+
+    def test_pair_counted_once_fails(self, monkeypatch):
+        c, size = self.direct_code()
+        self.patch_mirror(monkeypatch, 1, 1, size)
+        with pytest.raises(InternalCheckFailed,
+                           match=f"direct enumeration gives A_0 = 1 and "
+                                 f"{2 ** 18 - size} codewords"):
             gray.lee_enumerator(c)
 
 
