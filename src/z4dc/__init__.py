@@ -2,9 +2,9 @@
 
 Exact tooling for the quaternary double cyclic code family: canonical
 generator quintuples, minimal generating sets and sizes, Gray map and
-Lee weight analytics, dual-code construction (by theorem for free
-codes, by the kernel otherwise), and exhaustive generator-space
-search.  All arithmetic is exact.
+Lee weight analytics, dual-code construction (by theorem, for every
+code), and exhaustive generator-space search.  All arithmetic is
+exact.
 """
 
 from .code import (
@@ -32,6 +32,7 @@ from .dual import (
     phi_map,
     residue_dual_check,
 )
+from .errors import NotFree
 from .gray import (
     GrayImageParams,
     LeeEnumerator,
@@ -48,12 +49,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CodeVector", "DoubleCyclicCode", "DualReport", "GrayImageParams",
-    "HowellForm", "LeeEnumerator", "MatZ4", "SearchReport", "SearchResult",
-    "canonicalize_ideal", "code_size", "contains", "divisor_lattice",
-    "dual_brute_force", "dual_free", "dual_report", "from_spec_dict",
-    "generator_matrix", "gray_image_params", "gray_map", "howell",
-    "inner_product", "kernel", "lee_enumerator", "lee_weight", "membership",
-    "minimal_generating_set", "orthogonal_all_shifts", "phi_map",
+    "HowellForm", "LeeEnumerator", "MatZ4", "NotFree", "SearchReport",
+    "SearchResult", "canonicalize_ideal", "code_size", "contains",
+    "divisor_lattice", "dual_brute_force", "dual_free", "dual_report",
+    "from_spec_dict", "generator_matrix", "gray_image_params", "gray_map",
+    "howell", "inner_product", "kernel", "lee_enumerator", "lee_weight",
+    "membership", "minimal_generating_set", "orthogonal_all_shifts", "phi_map",
     "residue_dual_check", "search_codes", "shift_T", "span_equal", "spec_dict",
     "tau", "tau_inv", "validate",
 ]

@@ -1,23 +1,23 @@
 """Duality of double cyclic codes: inner products, the bilinear pairing,
-dual generator extraction, free duals by theorem, and residue checks.
+every code's dual by theorem, and residue checks.
 
-Every dual, by theorem or extracted from the Z4 kernel of the
-generator matrix (module linalg), carries one certificate (_is_dual):
-the pairing phi_map vanishes on every dual-by-primal generator pair,
-so the candidate lies in C-perp, and |C| * |candidate| = 4^(r+s), so
-it is all of C-perp.  Every free code gets its dual by theorem
-(dual_free), at any (r, s): the dual's left and right ideals are the
-cyclic duals of C's left projection and of C_R0 = {v : (0|v) in C},
-and its mixing polynomial solves the pairing's one congruence.  That
-route computes no kernel; its report reads the kernel rows off the
-certified dual's Howell form, which is canonical and so equals the
-kernel's.  All arithmetic is per block: no polynomial of degree
-lcm(r, s) is formed.  The Z4-level gcd of F1 and l is the Hensel lift
-of their residue gcd (residue_gcd; the residue divides x^r-1 with r
-odd, so the lift exists and is unique); when it divides l over Z4 the
-dual is free and comes in closed form.  The residue checks read the
-residue generators of C-perp off the certified dual's generators mod
-2, with no F2 row reduction.
+Every dual comes by theorem (dual_free), at any (r, s), free or not:
+the dual's left and right ideals are the cyclic duals of C's left
+projection and of C_R0 = {v : (0|v) in C}, and its mixing polynomial
+solves the pairing's one congruence.  It carries one certificate
+(_is_dual): the pairing phi_map vanishes on every dual-by-primal
+generator pair, so the candidate lies in C-perp, and |C| * |candidate|
+= 4^(r+s), so it is all of C-perp.  No kernel is computed; the
+report's kernel rows are the certified dual's Howell form, which is
+canonical and so equals the kernel's.  All arithmetic is per block: no
+polynomial of degree lcm(r, s) is formed.  The Z4-level gcd of F1 and
+l is the Hensel lift of their residue gcd (residue_gcd; the residue
+divides x^r-1 with r odd, so the lift exists and is unique); when C is
+free and it divides l over Z4 the dual is free and comes in closed
+form.  The residue checks read the residue generators of C-perp off
+the certified dual's generators mod 2, with no F2 row reduction.
+dual_brute_force, the dual as the Z4 kernel of the generator matrix,
+is the tests' independent oracle and is not called at run time.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .errors import (
     DimensionMismatch,
     InternalCheckFailed,
     InvalidInput,
-    NotFree,
 )
 from .z4poly import (
     Poly,
@@ -67,7 +66,12 @@ from .z4poly import (
     xn_minus_1,
 )
 
-DEFAULT_KERNEL_CAP = 64
+DEFAULT_KERNEL_CAP = 64  # dual_brute_force's bound on r+s
+# A dual report's kernel holds at most log2|C-perp| rows of r+s entries;
+# it is built when that product is at most this many (every code with
+# r+s <= 1024, and thinner duals past it), which keeps a printed report
+# below about 20 MB
+MAX_KERNEL_ENTRIES = 1 << 21
 
 
 def inner_product(u: CodeVector, v: CodeVector) -> int:
@@ -124,12 +128,13 @@ def residue_gcd(c: DoubleCyclicCode) -> f2poly.Poly:
 @dataclass(frozen=True)
 class DualReport:
     """The dual code and the route that found it, with dual_free's
-    F1_hat_star, F2_hat_star and nu (None on the kernel route).
+    F1_hat_star, F2_hat_star and nu (None on the tests' kernel oracle,
+    dual_brute_force, whose method is "brute-kernel").
 
-    kernel is the Howell form of C-perp, or None past the kernel cap."""
+    kernel is the Howell form of C-perp, or None past MAX_KERNEL_ENTRIES."""
 
-    method: str  # "free-closed-form" | "free-residue-factors" | "brute-kernel"
-    dual: DoubleCyclicCode | None
+    method: str  # "free-closed-form" | "free-residue-factors" | "residue-factors"
+    dual: DoubleCyclicCode
     kernel: linalg.MatZ4 | None
     F1_hat_star: Poly | None = None
     F2_hat_star: Poly | None = None
@@ -140,13 +145,11 @@ class DualReport:
         def p(x):
             return None if x is None else polytext.render(x)
 
-        out = {"method": self.method}
-        if self.dual is not None:
-            out["dual"] = spec_dict(self.dual)
-            out["dual_size"] = code_size(self.dual)
-        out.update({"F1_hat_star": p(self.F1_hat_star),
-                    "F2_hat_star": p(self.F2_hat_star),
-                    "l_hat": p(self.l_hat), "nu": p(self.nu)})
+        out = {"method": self.method, "dual": spec_dict(self.dual),
+               "dual_size": code_size(self.dual),
+               "F1_hat_star": p(self.F1_hat_star),
+               "F2_hat_star": p(self.F2_hat_star),
+               "l_hat": p(self.l_hat), "nu": p(self.nu)}
         if self.kernel is not None:
             out["kernel_rows"] = [list(row) for row in self.kernel.rows]
         return out
@@ -165,7 +168,7 @@ def dual_brute_force(c: DoubleCyclicCode,
                      cap: int = DEFAULT_KERNEL_CAP) -> tuple[linalg.MatZ4, DualReport]:
     """Dual as the exact kernel of the generator matrix, with canonical
     polynomial generators extracted from its rows and certified by
-    _is_dual."""
+    _is_dual: the tests' independent oracle for dual_free."""
     if c.r + c.s > cap:
         raise DimensionCapExceeded(f"r+s = {c.r + c.s} exceeds kernel cap {cap}")
     K = linalg.kernel(generator_matrix(c))
@@ -273,36 +276,37 @@ def _solve_l_hat(c: DoubleCyclicCode, T: Poly) -> Poly:
         h, (0,) * (2 * r) + tuple(-x for x in resid[2 * r:]))[2 * r:])
 
 
-def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> DualReport:
-    """The dual of a free code, by theorem.
+def dual_free(c: DoubleCyclicCode) -> DualReport:
+    """The dual of any valid code, by theorem.
 
     The dual's left ideal is the cyclic dual of the left projection of
     C, (F1, l), and its right ideal that of C_R0 = {v : (0|v) in C}
     (Borges, Fernandez-Cordoba and Ten-Valls, IEEE-IT 62(11), 2016);
     F1_hat_star and F2_hat_star generate the annihilators of those
     projections, whose reciprocals generate the dual's ideals
-    (_dual_ideal).  With d the Hensel lift of residue_gcd(c) dividing l
-    over Z4 (the closed form, "free-closed-form"), both projections are
-    free: F1_hat* = (x^r-1)/d and F2_hat* = (x^s-1)/(f2*m), m = f1/d,
-    which divides exactly on valid codes (m | h2 mod 2, and a residue
-    factor of x^r-1 and x^s-1 has one lift).  With iota(p) = p(x^-1),
-    the pairing vanishes on (l_hat | F2_hat) iff l_hat * iota(F1) = 0
-    and l_hat * iota(l) = T (_pairing_target), which fixes
-    l_hat = iota(h1 * t), h1 = (x^r-1)/f1, t = rho * (l/d)^-1 mod m
-    and rho = iota(T) / (h1 * d).  Otherwise (a 2-torsion l, or d not
-    dividing l over Z4; "free-residue-factors") the dual is not free:
-    both ideals come from the residue factors (_projection_ideals) and
-    l_hat from one Howell solve in r unknowns (_solve_l_hat).  nu is
-    reciprocal(l_hat) / h1, the paper's l_hat* * F1 = nu * (x^r-1).
-    The certificate is _is_dual; its failure is InternalCheckFailed.
-    No kernel is computed: when r+s fits the cap, the report's kernel
-    is the certified dual's Howell form.
+    (_dual_ideal).  With C free and d the Hensel lift of residue_gcd(c)
+    dividing l over Z4 (the closed form, "free-closed-form"), both
+    projections are free: F1_hat* = (x^r-1)/d and F2_hat* =
+    (x^s-1)/(f2*m), m = f1/d, which divides exactly on valid codes
+    (m | h2 mod 2, and a residue factor of x^r-1 and x^s-1 has one
+    lift).  With iota(p) = p(x^-1), the pairing vanishes on
+    (l_hat | F2_hat) iff l_hat * iota(F1) = 0 and l_hat * iota(l) = T
+    (_pairing_target), which fixes l_hat = iota(h1 * t),
+    h1 = (x^r-1)/f1, t = rho * (l/d)^-1 mod m and
+    rho = iota(T) / (h1 * d).  Otherwise the dual is not free: a
+    free code with a 2-torsion l, or with d not dividing l over Z4
+    ("free-residue-factors"), and every non-free code
+    ("residue-factors").  Both ideals then come from the residue factors
+    (_projection_ideals) and l_hat from one Howell solve in r unknowns
+    (_solve_l_hat).  nu is reciprocal(l_hat) / h1, the paper's
+    l_hat* * F1 = nu * (x^r-1).  The certificate is _is_dual; its
+    failure is InternalCheckFailed.  No kernel is computed: the
+    report's kernel is the certified dual's Howell form, built within
+    MAX_KERNEL_ENTRIES.
     """
-    if not c.is_free:
-        raise NotFree("closed form requires f1 = g1 and f2 = g2")
     r, s = c.r, c.s
     d1 = hensel_lift(residue_gcd(c), r)
-    closed = divides(d1, c.l)
+    closed = c.is_free and divides(d1, c.l)
     if closed:
         m = exact_div(c.f1, d1)
         left, right = (d1, d1), (mul(c.f2, m),) * 2
@@ -324,11 +328,14 @@ def dual_free(c: DoubleCyclicCode, kernel_cap: int = DEFAULT_KERNEL_CAP) -> Dual
     dual_code = validate(r, s, f1h, g1h, l_hat, f2h, g2h)
     if not _is_dual(c, dual_code):
         raise InternalCheckFailed(
-            f"the dual of the free code {spec_dict(c)} fails the pairing certificate")
-    K = linalg.howell(generator_matrix(dual_code)).matrix if r + s <= kernel_cap else None
+            f"the dual of the code {spec_dict(c)} fails the pairing certificate")
     nu = ZERO if dual_code.l == ZERO else exact_div(reciprocal(dual_code.l), h1)
-    return DualReport(method="free-closed-form" if closed else "free-residue-factors",
-                      dual=dual_code, kernel=K,
+    method = ("free-closed-form" if closed else
+              "free-residue-factors" if c.is_free else "residue-factors")
+    K = (linalg.howell(generator_matrix(dual_code)).matrix
+         if (code_size(dual_code).bit_length() - 1) * (r + s) <= MAX_KERNEL_ENTRIES
+         else None)
+    return DualReport(method=method, dual=dual_code, kernel=K,
                       F1_hat_star=F1_hat_star, F2_hat_star=F2_hat_star,
                       l_hat=dual_code.l, nu=nu)
 
@@ -347,23 +354,11 @@ def _is_dual(c: DoubleCyclicCode, d: DoubleCyclicCode) -> bool:
             and code_size(c) * code_size(d) == 4 ** (c.r + c.s))
 
 
-def dual_report(c: DoubleCyclicCode, method: str = "auto",
-                kernel_cap: int = DEFAULT_KERNEL_CAP) -> DualReport:
-    """Dispatch: every free code to dual_free, the others to the kernel
-    (dual_brute_force) within the cap."""
-    if method == "free":
-        return dual_free(c, kernel_cap=kernel_cap)
-    if method == "brute":
-        return dual_brute_force(c, cap=kernel_cap)[1]
+def dual_report(c: DoubleCyclicCode, method: str = "auto") -> DualReport:
+    """The dual of c by theorem (dual_free); "auto" is the only method."""
     if method != "auto":
         raise InvalidInput(f"unknown dual method {method!r}")
-    if c.is_free:
-        return dual_free(c, kernel_cap=kernel_cap)
-    if c.r + c.s <= kernel_cap:
-        return dual_brute_force(c, cap=kernel_cap)[1]
-    raise DimensionCapExceeded(
-        f"r+s = {c.r + c.s} exceeds kernel cap {kernel_cap} and the code "
-        f"is not free; only residue-level duality is available")
+    return dual_free(c)
 
 
 # -- residue-level verification ------------------------------------------

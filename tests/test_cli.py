@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from conftest import shaped_code
-from z4dc import cli, code, f2poly, gray, polytext, search, z4poly
+from z4dc import cli, code, dual, f2poly, gray, polytext, search, z4poly
 from z4dc.code import spec_dict
 from z4dc.errors import InternalCheckFailed
 import numpy as np
@@ -158,7 +158,7 @@ class TestAnalyze:
 
 class TestDual:
     def test_free_method(self, pair_spec, capsys):
-        rc = cli.main(["dual", pair_spec, "--method", "free"])
+        rc = cli.main(["dual", pair_spec])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["method"] == "free-closed-form"
@@ -169,12 +169,14 @@ class TestDual:
         assert report["residue_check"]["all_ok"] is True
 
     def test_brute_agrees(self, pair_spec, capsys):
-        cli.main(["dual", pair_spec, "--method", "free"])
+        cli.main(["dual", pair_spec])
         free = json.loads(capsys.readouterr().out)
-        cli.main(["dual", pair_spec, "--method", "brute"])
-        brute = json.loads(capsys.readouterr().out)
-        assert free["dual"] == brute["dual"]
-        assert free["dual_size"] == brute["dual_size"]
+        with open(pair_spec) as fh:
+            c = code.from_spec_dict(json.load(fh))
+        K, brute = dual.dual_brute_force(c, cap=c.r + c.s)
+        assert free["dual"] == spec_dict(brute.dual)
+        assert free["dual_size"] == code.code_size(brute.dual)
+        assert free["kernel_rows"] == [list(row) for row in K.rows]
 
     def test_full_space_dual_is_zero_code(self, tmp_path, capsys):
         path = tmp_path / "full.json"
@@ -201,29 +203,46 @@ class TestDual:
         assert cli.main(["dual", pair_spec]) == 0
 
     def test_not_free_exit(self, tmp_path, capsys):
+        # a non-free code exits 0 with its dual by theorem; --method free
+        # refused it with NotFree, and the flag is gone
         path = tmp_path / "nf.json"
         path.write_text(json.dumps({"r": 3, "s": 3, "f1": "x^3+3",
                                     "g1": "1", "f2": "1", "g2": "1"}))
-        rc = cli.main(["dual", str(path), "--method", "free"])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "NotFree"
+        assert cli.main(["dual", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        c = code.from_spec_dict(json.loads(path.read_text()))
+        _, brute = dual.dual_brute_force(c, cap=c.r + c.s)
+        assert report["method"] == "residue-factors"
+        assert report["dual"] == spec_dict(brute.dual)
+        assert cli.main(["dual", str(path), "--method", "free"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvalidInput"
+
+    def test_residue_check_only_for_free_codes(self, pair_spec, tmp_path, capsys):
+        # the residue relations are built from Res(C), and Res(C-perp) =
+        # Tor(C)-perp equals Res(C)-perp only for a free code
+        path = tmp_path / "nf.json"
+        path.write_text(json.dumps({"r": 1, "s": 3, "f1": "1", "g1": "1",
+                                    "f2": "x+3", "g2": "1"}))
+        assert cli.main(["dual", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == "residue-factors"
+        assert "residue_check" not in report and report["kernel_rows"]
+        assert cli.main(["dual", pair_spec]) == 0
+        assert json.loads(capsys.readouterr().out)["residue_check"]["all_ok"] is True
 
     def test_non_free_code_past_the_kernel_cap(self, tmp_path, capsys):
-        # r+s = 66 > 64 and f1 != g1: no closed form, and the kernel
-        # needs --force
+        # r+s = 66 > 64 and f1 != g1: no closed form; the code once
+        # needed --force and the kernel, and now takes the residue factors
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"r": 3, "s": 63, "f1": "x+3", "g1": "1"}))
-        assert cli.main(["dual", str(path)]) == 3
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)["error"]
-        assert captured.out == "" and err["type"] == "DimensionCapExceeded"
-        assert "exceeds kernel cap 64" in err["message"]
-        assert err["invariant"] == "r+s must not exceed the kernel dimension cap"
-        assert cli.main(["dual", str(path), "--force"]) == 0
+        assert cli.main(["dual", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["method"] == "brute-kernel"
+        assert report["method"] == "residue-factors"
         assert report["dual_size"] * 4 ** 2 * 2 == 4 ** 66
+        c = code.from_spec_dict(json.loads(path.read_text()))
+        K, brute = dual.dual_brute_force(c, cap=c.r + c.s)
+        assert report["dual"] == spec_dict(brute.dual)
+        assert report["kernel_rows"] == [list(row) for row in K.rows]
 
 
     @pytest.mark.parametrize("f1, l, method", [
@@ -234,17 +253,20 @@ class TestDual:
     def test_free_code_past_the_kernel_cap_needs_no_force(self, tmp_path, capsys,
                                                            f1, l, method):
         # r+s = 66 > 64: these free codes once fell back to the kernel and
-        # exited 3 without --force; now the theorem gives their dual
+        # exited 3 without --force; now the theorem gives their dual, and
+        # the report carries its kernel rows and residue check at any r+s
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"r": 33, "s": 33, "f1": f1, "g1": f1,
                                     "l": l, "f2": "1", "g2": "1"}))
         assert cli.main(["dual", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["method"] == method and "kernel_rows" not in report
-        size = code.code_size(code.from_spec_dict(json.loads(path.read_text())))
-        assert report["dual_size"] * size == 4 ** 66
-        assert cli.main(["dual", str(path), "--method", "brute", "--force"]) == 0
-        assert json.loads(capsys.readouterr().out)["dual"] == report["dual"]
+        assert report["method"] == method
+        c = code.from_spec_dict(json.loads(path.read_text()))
+        assert report["dual_size"] * code.code_size(c) == 4 ** 66
+        K, brute = dual.dual_brute_force(c, cap=c.r + c.s)
+        assert report["dual"] == spec_dict(brute.dual)
+        assert report["kernel_rows"] == [list(row) for row in K.rows]
+        assert report["residue_check"]["all_ok"] is True
 
 
 class TestVerifyExamples:
@@ -435,9 +457,11 @@ class TestCommandLine:
     @pytest.mark.parametrize("argv", [
         ["analyze", "s.json", "--bogus"], ["search", "1", "x"], [],
         ["analyze", "s.json", "--max-enum", "x"], ["dual", "s.json", "--method", "x"],
-        ["frobnicate"],
+        ["frobnicate"], ["dual", "s.json", "--method", "free"],
+        ["dual", "s.json", "--method", "brute"], ["dual", "s.json", "--force"],
     ], ids=["unknown-flag", "non-integer-length", "no-command", "non-integer-cap",
-            "bad-choice", "unknown-command"])
+            "bad-choice", "unknown-command", "removed-method-free",
+            "removed-method-brute", "removed-force"])
     def test_usage_error_prints_the_error_object(self, argv):
         self.assert_error_object(argv)
 

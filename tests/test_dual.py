@@ -1,5 +1,5 @@
-"""Duality: the pairing, kernel duals, the free closed form, residue
-relations, and projections."""
+"""Duality: the pairing, the theorem dual against the kernel oracle, the
+free closed form, residue relations, and projections."""
 
 import math
 import time
@@ -15,6 +15,7 @@ from conftest import (
     random_code,
     random_poly,
     residue_generators_by_elimination,
+    shaped_code,
     span_size,
 )
 from z4dc import dual, linalg as la, z4poly as zp, f2poly as fp
@@ -33,7 +34,6 @@ from z4dc.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     InvalidInput,
-    NotFree,
     Z4DCError,
 )
 from z4dc.polytext import parse
@@ -41,6 +41,28 @@ from z4dc.polytext import parse
 
 def quintuple(c):
     return c.f1, c.g1, c.l, c.f2, c.g2
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the dual reached the kernel route")
+
+
+def theorem_dual(c, monkeypatch):
+    """dual_report(c, "auto") with linalg.kernel and dual_brute_force
+    refusing, so the report cannot come from the kernel."""
+    with monkeypatch.context() as m:
+        m.setattr(la, "kernel", refuse)
+        m.setattr(dual, "dual_brute_force", refuse)
+        return dual.dual_report(c, method="auto")
+
+
+def assert_oracle_dual(c, rep):
+    """rep is the kernel oracle's dual of c, with its Howell form as the
+    kernel rows and nu * h1 = reciprocal(l_hat) exactly."""
+    K, brep = dual.dual_brute_force(c, cap=c.r + c.s)
+    assert quintuple(rep.dual) == quintuple(brep.dual), spec_dict(c)
+    assert rep.kernel.rows == K.rows
+    assert zp.mul(rep.nu, c.h1) == (zp.reciprocal(rep.l_hat) if rep.l_hat else ())
 
 
 def pair_3_9():
@@ -239,9 +261,19 @@ class TestDualFree:
         assert code_size(rep.dual) == 4 ** 8
 
     def test_not_free(self):
+        # a non-free code takes the residue factors, as the oracle says
         c = validate(3, 3, f1=parse("x^3+3"), g1=(1,), f2=(1,), g2=(1,))
-        with pytest.raises(NotFree):
-            dual.dual_free(c)
+        rep = dual.dual_free(c)
+        assert rep.method == "residue-factors"
+        assert_oracle_dual(c, rep)
+
+    def test_reference_kernel_rows_equal_the_kernel(self):
+        # the report's kernel is the dual's own Howell form; the kernel
+        # of the primal generator matrix, computed afresh, is a Howell
+        # form too, and both are canonical, so equal spans are equal rows
+        c = pair_3_9()
+        rep = dual.dual_report(c)
+        assert rep.kernel == la.kernel(generator_matrix(c))
 
     def test_trivial_left_full(self):
         # left part trivially full: dual left-only subcode collapses
@@ -341,10 +373,6 @@ def test_auto_dual_of_every_free_shape_is_the_kernel_dual(rng, monkeypatch):
     divides it mod 2 but not over Z4."""
     lengths = (1, 3, 5, 7, 9, 15, 21)
     seen = Counter()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the free dual reached the kernel route")
-
     while seen["codes"] < 400:
         r = rng.choice(lengths)
         f1 = rng.choice(divisor_lattice_of(r))
@@ -364,12 +392,8 @@ def test_auto_dual_of_every_free_shape_is_the_kernel_dual(rng, monkeypatch):
             c = validate(r, s, f1=f1, g1=f1, l=l, f2=f2, g2=f2)
         except Z4DCError:
             continue
-        _, brep = dual.dual_brute_force(c)
-        with monkeypatch.context() as m:
-            m.setattr(la, "kernel", refuse)
-            m.setattr(dual, "dual_brute_force", refuse)
-            rep = dual.dual_report(c, method="auto")
-        assert quintuple(rep.dual) == quintuple(brep.dual), spec_dict(c)
+        rep = theorem_dual(c, monkeypatch)
+        assert_oracle_dual(c, rep)
         two_torsion = c.l != () and zp.reduce_mod2(c.l) == ()
         seen.update({"codes": 1, "g > 1": c.l != () and math.gcd(r, s) > 1,
                      "2-torsion l": two_torsion,
@@ -377,6 +401,26 @@ def test_auto_dual_of_every_free_shape_is_the_kernel_dual(rng, monkeypatch):
                      and not gcd_convention_faithful(c),
                      "r != s": r != s, "r or s = 1": 1 in (r, s), rep.method: 1})
     assert min(seen.values()) >= 25 and len(seen) == 8, seen
+
+
+def test_auto_dual_of_every_code_is_the_kernel_dual(rng, monkeypatch):
+    """The oracle of the one dual route: over seeded shaped codes, each
+    residue factor of each side full, 2-torsion or zero at random, so
+    non-free codes of all three cases, dual_report(auto) computes no
+    kernel and returns dual_brute_force's quintuple and kernel rows,
+    with nu * h1 = reciprocal(l_hat) exactly."""
+    lengths = (1, 3, 5, 7, 9, 15, 21)
+    seen = Counter()
+    for _ in range(800):
+        r, s = rng.choice(lengths), rng.choice(lengths)
+        c = shaped_code(rng, r, s, max_bits=2 * (r + s))
+        rep = theorem_dual(c, monkeypatch)
+        assert_oracle_dual(c, rep)
+        seen.update({f"non-free {c.case}": not c.is_free,
+                     "2-torsion l": c.l != () and zp.reduce_mod2(c.l) == (),
+                     "g > 1": math.gcd(r, s) > 1, "r != s": r != s,
+                     "r or s = 1": 1 in (r, s), rep.method: 1})
+    assert min(seen.values()) >= 5 and len(seen) == 10, seen
 
 
 class TestDualReportDispatch:
@@ -394,25 +438,46 @@ class TestDualReportDispatch:
         rep = dual.dual_report(c)
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.0, f"dual_report took {elapsed:.2f}s, budget 2s"
-        assert (rep.method, rep.kernel) == ("free-closed-form", None)
+        assert rep.method == "free-closed-form"
         assert code_size(c) * code_size(rep.dual) == 4 ** (255 + 257)
+        assert span_size(la.howell(rep.kernel)) == code_size(rep.dual)
 
-    def test_auto_falls_back(self):
+    def test_kernel_rows_within_the_entry_bound(self):
+        # the whole space's Howell form has r+s rows of r+s entries: built
+        # up to r+s = 1024 and not past it, while a thin dual past it
+        # still gets its rows
+        for spec, rows in (({"r": 1023, "s": 1}, 1024), ({"r": 1025, "s": 1}, None),
+                           ({"r": 1025, "s": 1, "f1": "x+3", "g1": "x+3",
+                             "f2": "1", "g2": "1"}, 1)):
+            rep = dual.dual_report(from_spec_dict(spec))
+            got = None if rep.kernel is None else len(rep.kernel.rows)
+            assert got == rows, spec
+            assert ("kernel_rows" in rep.to_json()) == (rows is not None)
+
+    def test_auto_falls_back(self, monkeypatch):
+        # a non-free code once fell back to the kernel; now the theorem
+        # gives its dual, and the kernel is only the oracle
         c = validate(3, 3, f1=parse("x^3+3"), g1=(1,), f2=(1,), g2=(1,))
-        rep = dual.dual_report(c, method="auto")
-        assert rep.method == "brute-kernel"
+        rep = theorem_dual(c, monkeypatch)
+        assert rep.method == "residue-factors"
+        assert_oracle_dual(c, rep)
 
     def test_unknown_method_is_invalid_input(self):
         with pytest.raises(InvalidInput, match="unknown dual method 'x'"):
             dual.dual_report(pair_3_9(), method="x")
+        # the removed routes are unknown methods too
+        for method in ("free", "brute"):
+            with pytest.raises(InvalidInput):
+                dual.dual_report(pair_3_9(), method=method)
 
-    def test_methods_agree(self, rng):
+    def test_methods_agree(self, rng, monkeypatch):
+        # every code, free or not, gets the oracle's dual from auto
+        free = 0
         for _ in range(40):
-            c = random_code(rng, free_only=True, max_size=2 ** 16)
-            free = dual.dual_free(c)
-            brute = dual.dual_report(c, method="brute")
-            assert la.span_equal(generator_matrix(free.dual),
-                                 generator_matrix(brute.dual))
+            c = random_code(rng, max_size=2 ** 16)
+            assert_oracle_dual(c, theorem_dual(c, monkeypatch))
+            free += c.is_free
+        assert 5 <= free <= 35, free
 
 
 class TestResidueDualCheck:
