@@ -8,20 +8,21 @@ solves the pairing's one congruence.  It carries one certificate
 (_is_dual): the pairing phi_map vanishes on every dual-by-primal
 generator pair, so the candidate lies in C-perp, and |C| * |candidate|
 = 4^(r+s), so it is all of C-perp.  No kernel is computed; the
-report's kernel rows are the certified dual's Howell form, which is
-canonical and so equals the kernel's.  All arithmetic is per block: no
-polynomial of degree lcm(r, s) is formed.  The Z4-level gcd of F1 and
-l is the Hensel lift of their residue gcd (residue_gcd; the residue
-divides x^r-1 with r odd, so the lift exists and is unique); when C is
-free and it divides l over Z4 the dual is free and comes in closed
-form.  The residue checks read the residue generators of C-perp off
-the certified dual's generators mod 2, with no F2 row reduction.
+report's kernel rows are the certified dual's Howell form, built on
+first read, which is canonical and so equals the kernel's.  All
+arithmetic is per block: no polynomial of degree lcm(r, s) is formed.
+The Z4-level gcd of F1 and l is the Hensel lift of their residue gcd
+(residue_gcd; the residue divides x^r-1 with r odd, so the lift exists
+and is unique); when C is free and it divides l over Z4 the dual is
+free and comes in closed form.  The residue checks read the residue
+generators of C-perp off the certified dual's generators mod 2 alone.
 dual_brute_force, the dual as the Z4 kernel of the generator matrix,
 is the tests' independent oracle and is not called at run time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -68,9 +69,9 @@ from .z4poly import (
 
 DEFAULT_KERNEL_CAP = 64  # dual_brute_force's bound on r+s
 # A dual report's kernel holds at most log2|C-perp| rows of r+s entries;
-# it is built when that product is at most this many (every code with
-# r+s <= 1024, and thinner duals past it), which keeps a printed report
-# below about 20 MB
+# it is built, on first read, when that product is at most this many
+# (every code with r+s <= 1024, and thinner duals past it), which keeps
+# a printed report below about 20 MB
 MAX_KERNEL_ENTRIES = 1 << 21
 
 
@@ -131,15 +132,26 @@ class DualReport:
     F1_hat_star, F2_hat_star and nu (None on the tests' kernel oracle,
     dual_brute_force, whose method is "brute-kernel").
 
-    kernel is the Howell form of C-perp, or None past MAX_KERNEL_ENTRIES."""
+    Every other view reads the dual: l_hat is its mixing polynomial,
+    and kernel its Howell form, built on first read, or None past
+    MAX_KERNEL_ENTRIES."""
 
     method: str  # "free-closed-form" | "free-residue-factors" | "residue-factors"
     dual: DoubleCyclicCode
-    kernel: linalg.MatZ4 | None
     F1_hat_star: Poly | None = None
     F2_hat_star: Poly | None = None
-    l_hat: Poly | None = None
     nu: Poly | None = None
+
+    @property
+    def l_hat(self) -> Poly:
+        return self.dual.l
+
+    @functools.cached_property
+    def kernel(self) -> linalg.MatZ4 | None:
+        d = self.dual
+        if (code_size(d).bit_length() - 1) * (d.r + d.s) > MAX_KERNEL_ENTRIES:
+            return None
+        return linalg.howell(generator_matrix(d)).matrix
 
     def to_json(self) -> dict:
         def p(x):
@@ -191,9 +203,7 @@ def dual_brute_force(c: DoubleCyclicCode,
         raise InternalCheckFailed(
             f"extracted dual generators fail the pairing certificate; "
             f"the kernel rows are {[list(row) for row in K.rows]}")
-    report = DualReport(method="brute-kernel", dual=dual_code, kernel=K,
-                        l_hat=dual_code.l)
-    return K, report
+    return K, DualReport(method="brute-kernel", dual=dual_code)
 
 
 def _iota(p: Poly, n: int) -> Poly:
@@ -300,9 +310,8 @@ def dual_free(c: DoubleCyclicCode) -> DualReport:
     (_projection_ideals) and l_hat from one Howell solve in r unknowns
     (_solve_l_hat).  nu is reciprocal(l_hat) / h1, the paper's
     l_hat* * F1 = nu * (x^r-1).  The certificate is _is_dual; its
-    failure is InternalCheckFailed.  No kernel is computed: the
-    report's kernel is the certified dual's Howell form, built within
-    MAX_KERNEL_ENTRIES.
+    failure is InternalCheckFailed.  No kernel is computed, and no
+    Howell form of the dual: the report builds that on first read.
     """
     r, s = c.r, c.s
     d1 = hensel_lift(residue_gcd(c), r)
@@ -332,12 +341,8 @@ def dual_free(c: DoubleCyclicCode) -> DualReport:
     nu = ZERO if dual_code.l == ZERO else exact_div(reciprocal(dual_code.l), h1)
     method = ("free-closed-form" if closed else
               "free-residue-factors" if c.is_free else "residue-factors")
-    K = (linalg.howell(generator_matrix(dual_code)).matrix
-         if (code_size(dual_code).bit_length() - 1) * (r + s) <= MAX_KERNEL_ENTRIES
-         else None)
-    return DualReport(method=method, dual=dual_code, kernel=K,
-                      F1_hat_star=F1_hat_star, F2_hat_star=F2_hat_star,
-                      l_hat=dual_code.l, nu=nu)
+    return DualReport(method=method, dual=dual_code, F1_hat_star=F1_hat_star,
+                      F2_hat_star=F2_hat_star, nu=nu)
 
 
 def _generators(c: DoubleCyclicCode) -> list[tuple[Poly, Poly]]:
@@ -394,21 +399,21 @@ class ResidueDualCheck:
                 "checks": dict(self.checks), "all_ok": self.all_ok()}
 
 
-def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
-                       dual_code: DoubleCyclicCode) -> ResidueDualCheck:
+def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4 | None = None,
+                       *, dual_code: DoubleCyclicCode) -> ResidueDualCheck:
     """Verify everything the residue-level duality theory states.
 
     Reads the binary generators of Res(C-perp) off the certified dual
-    dual_code = <(F1_hat|0), (l_hat|F2_hat)>.  Reduction mod 2 sends
-    module generators to module generators, so Res(C-perp) is generated
-    by (f1_hat mod 2|0) and (l_hat mod 2|f2_hat mod 2), and (a|0) lies
-    in it iff a is in the ideal of f1_hat and h2_hat * l_hat mod 2,
-    h2_hat = (x^s+1)/f2_hat (Pless and Qian, IEEE-IT 42(5), 1996).  The
-    right generator is also read off the rows of dual_span mod 2 and
-    must agree with the dual's (right_projection_generated).  Then
-    checks the reciprocal formulas for the residue generators, the
-    degree identities, the nubar congruence, and the Z4-lifted
-    divisibility relations with their lambda/mu/nu witnesses.
+    dual_code = <(F1_hat|0), (l_hat|F2_hat)> and nothing else; dual_span
+    is not read, and stays only for callers that pass the dual's rows
+    positionally.  Reduction mod 2 sends module generators to module
+    generators, so Res(C-perp) is generated by (f1_hat mod 2|0) and
+    (l_hat mod 2|f2_hat mod 2), and (a|0) lies in it iff a is in the
+    ideal of f1_hat and h2_hat * l_hat mod 2, h2_hat = (x^s+1)/f2_hat
+    (Pless and Qian, IEEE-IT 42(5), 1996).  Then checks the reciprocal
+    formulas for the residue generators, the degree identities, the
+    nubar congruence, and the Z4-lifted divisibility relations with
+    their lambda/mu/nu witnesses.
 
     The F2_hat formula uses gcd(F1bar, lbar) in the numerator: the
     stated relation is exactly what the witness derivation produces and
@@ -421,14 +426,11 @@ def residue_dual_check(c: DoubleCyclicCode, dual_span: linalg.MatZ4,
     # generators mod 2; the sentinels need no special case (an absent
     # left generator reduces to x^r+1, an absent right one gives
     # h2_hat = 1 with l_hat = 0)
-    f1d, ld, f2d = (reduce_mod2(p) for p in (dual_code.f1, dual_code.l, dual_code.f2))
-    h2d = f2poly.polydivmod(f2poly.xn_plus_1(s), f2d)[0]
+    f1d, ld, F2bar_hat = (reduce_mod2(p)
+                          for p in (dual_code.f1, dual_code.l, dual_code.f2))
+    h2d = f2poly.polydivmod(f2poly.xn_plus_1(s), F2bar_hat)[0]
     F1bar_hat = f2poly.cyclic_gcd((f1d, f2poly.mul(h2d, ld)), r)
     lbar_hat = f2poly.polymod(ld, F1bar_hat)
-    # right projection ideal of the span's rows over F2
-    F2bar_hat = f2poly.cyclic_gcd(
-        [f2poly.canon(row[r:]) for row in dual_span.rows], s)
-    checks["right_projection_generated"] = F2bar_hat == f2d
 
     F1bar = reduce_mod2(c.F1)
     F2bar = reduce_mod2(c.F2)

@@ -113,9 +113,6 @@ class LeeEnumerator:
             raise ZeroCode("the zero code has no nonzero codeword")
         return min(keys)
 
-    def sorted_items(self) -> list[tuple[int, int]]:
-        return sorted(self.counts.items())
-
 
 def gray_lanes(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The Gray image of packed codewords, lane by lane: a symbol with

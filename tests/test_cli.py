@@ -229,6 +229,13 @@ class TestDual:
         assert "residue_check" not in report and report["kernel_rows"]
         assert cli.main(["dual", pair_spec]) == 0
         assert json.loads(capsys.readouterr().out)["residue_check"]["all_ok"] is True
+        # past the kernel-row bound the report has no rows, and the check,
+        # which reads only the dual, still runs
+        path.write_text(json.dumps({"r": 1025, "s": 1}))
+        assert cli.main(["dual", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "kernel_rows" not in report
+        assert report["residue_check"]["all_ok"] is True
 
     def test_non_free_code_past_the_kernel_cap(self, tmp_path, capsys):
         # r+s = 66 > 64 and f1 != g1: no closed form; the code once

@@ -275,6 +275,27 @@ class TestDualFree:
         rep = dual.dual_report(c)
         assert rep.kernel == la.kernel(generator_matrix(c))
 
+    def test_kernel_is_built_on_first_read(self, monkeypatch):
+        # the closed form builds no Howell form; the report's first read
+        # of kernel builds the dual's, which is the kernel oracle's, and
+        # a second read reuses it
+        calls = []
+        howell = la.howell
+
+        def counted(m):
+            calls.append(m)
+            return howell(m)
+
+        c = pair_3_9()
+        monkeypatch.setattr(la, "howell", counted)
+        rep = dual.dual_free(c)
+        assert rep.method == "free-closed-form" and not calls
+        first = rep.kernel
+        assert len(calls) == 1
+        assert rep.kernel is first and len(calls) == 1
+        monkeypatch.undo()
+        assert first == dual.dual_brute_force(c)[0]
+
     def test_trivial_left_full(self):
         # left part trivially full: dual left-only subcode collapses
         c = validate(3, 9, f1=(1,), g1=(1,), l=(),
@@ -543,27 +564,31 @@ class TestResidueDualCheck:
                 duals.append(rep.dual)
                 seen["closed-form"] += rep.method == "free-closed-form"
             for d in duals:
-                chk = dual.residue_dual_check(c, K, d)
+                chk = dual.residue_dual_check(c, K, dual_code=d)
                 assert (chk.F1bar_hat, chk.lbar_hat, chk.F2bar_hat) == expected, \
                     spec_dict(c)
-                assert chk.checks["right_projection_generated"]
             seen[c.case] += 1
             seen["non-free"] += not c.is_free
             for name, l in (("2-torsion l", c.l), ("2-torsion l_hat", brep.dual.l)):
                 seen[name] += l != () and zp.reduce_mod2(l) == ()
         assert min(seen.values()) >= 20, seen
 
-    def test_right_projection_disagreement_is_a_finding(self):
-        # the kernel of the full space is zero, so its right blocks
-        # generate x^9+1, while the (3,9) pair's dual has f2_hat = x+3
-        c = pair_3_9()
-        _, brep = dual.dual_brute_force(c)
-        K, _ = dual.dual_brute_force(
+    def test_dual_span_is_not_read(self, rng):
+        # the rows passed second change no finding: neither the dual's
+        # own kernel nor the full space's (zero) kernel, whose right
+        # blocks would generate x^9+1 where the (3,9) pair's dual has
+        # f2_hat = x+3
+        full, _ = dual.dual_brute_force(
             validate(3, 9, f1=(1,), g1=(1,), f2=(1,), g2=(1,)))
-        chk = dual.residue_dual_check(c, K, brep.dual)
-        assert chk.F2bar_hat == fp.xn_plus_1(9)
-        assert not chk.checks["right_projection_generated"]
-        assert not chk.all_ok()
+        assert not any(any(row) for row in full.rows)
+        c = pair_3_9()
+        chk = dual.residue_dual_check(c, full, dual_code=dual.dual_free(c).dual)
+        assert chk.all_ok() and fp.canon(reversed(chk.F2bar_hat)) == (1, 1)
+        for c in [c] + [random_code(rng, max_size=2 ** 16) for _ in range(30)]:
+            K, brep = dual.dual_brute_force(c)
+            want = dual.residue_dual_check(c, dual_code=brep.dual)
+            for span in (K, full):
+                assert dual.residue_dual_check(c, span, dual_code=brep.dual) == want
 
 
 class TestProjections:
