@@ -79,14 +79,17 @@ def _load_spec(path: str) -> dict:
             raise InvalidInput("spec file nests too deeply to parse") from None
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _emit(report, out_path: str | None):
+    """Write a report to out_path, or to stdout ending in a newline: a str
+    as it is, else indented JSON, streamed by json.dump."""
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if isinstance(report, str):
+            fh.write(report)
+        else:
+            json.dump(report, fh, indent=2)
+        if not (out_path or isinstance(report, str) and report.endswith("\n")):
+            fh.write("\n")
 
 
 def _error_exit(exc: Z4DCError, exit_code: int) -> int:
@@ -129,7 +132,7 @@ def cmd_analyze(args) -> int:
     if args.format == "csv":
         _emit(_enumerator_csv(enum.counts), args.out)
     else:
-        _emit(json.dumps(report, indent=2), args.out)
+        _emit(report, args.out)
     return 0
 
 
@@ -142,7 +145,7 @@ def cmd_dual(args) -> int:
     # only the dual, so a report past the kernel-row bound keeps them
     if c.is_free:
         out["residue_check"] = residue_dual_check(c, dual_code=report.dual).to_json()
-    _emit(json.dumps(out, indent=2), args.out)
+    _emit(out, args.out)
     return 0
 
 
@@ -198,8 +201,7 @@ def cmd_verify_examples(args) -> int:
                 row["enumerator_reading"] = case["enumerator_reading"]
             rows.append(row)
     if args.out:
-        _emit(json.dumps({"rows": rows, "all_pass": failures == 0},
-                         indent=2), args.out)
+        _emit({"rows": rows, "all_pass": failures == 0}, args.out)
     return 0 if failures == 0 else 1
 
 
@@ -217,7 +219,7 @@ def cmd_search(args) -> int:
                "candidates_evaluated": report.candidates_evaluated,
                "candidates_skipped": report.candidates_skipped,
                "notices": report.notices}
-        _emit(json.dumps(out, indent=2), args.out)
+        _emit(out, args.out)
     return 0
 
 

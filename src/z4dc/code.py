@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,13 +177,9 @@ def rotations(pair: tuple[Poly, Poly], r: int, s: int,
     """The concatenated vectors of x^i * pair for i < count: tau_inv(pair)
     and its next count-1 shift_T images."""
     v = tau_inv(pair, r, s)
-    left, right = deque(v.left), deque(v.right)
-    out = []
-    for _ in range(count):
-        out.append((*left, *right))
-        left.rotate()
-        right.rotate()
-    return out
+    left, right = v.left * 2, v.right * 2  # x^i * block is a slice of it doubled
+    return [left[r - i % r:2 * r - i % r] + right[s - i % s:2 * s - i % s]
+            for i in range(count)]
 
 
 def poly_to_vec(p: Poly, n: int) -> tuple[int, ...]:

@@ -46,6 +46,7 @@ from .errors import (
     InternalCheckFailed,
     InvalidInput,
 )
+from .f2poly import int_mul, to_poly
 from .z4poly import (
     Poly,
     ZERO,
@@ -55,6 +56,7 @@ from .z4poly import (
     divides,
     divmod_monic,
     exact_div,
+    fold,
     hensel_lift,
     inverse_mod_monic,
     make_monic,
@@ -87,21 +89,20 @@ def phi_map(c1: tuple[Poly, Poly], c2: tuple[Poly, Poly], r: int, s: int) -> Pol
 
     A block of length n contributes its cyclic correlation c1-part *
     x^((n-1-deg c2-part) mod n) * reciprocal(c2-part) mod x^n-1 repeated
-    with period n, which is the paper's theta_(k/n)(x^n) * x^(k-1-deg)
-    form; a zero c2 component contributes nothing.  Vanishes exactly on
-    pairs orthogonal under all simultaneous shifts.
+    with period n (a product with sum_j x^(n*j)), the paper's
+    theta_(k/n)(x^n) * x^(k-1-deg) form; a zero c2 component adds
+    nothing.  Vanishes exactly on pairs orthogonal under all shifts T^i.
     """
     k = math.lcm(r, s)
-    out = [0] * k
+    out = 0
     for ci, cj, n in ((canon(c1[0]), canon(c2[0]), r),
                       (canon(c1[1]), canon(c2[1]), s)):
         if ci == ZERO or cj == ZERO:
             continue
-        term = mul(mul(ci, monomial((n - 1 - degree(cj)) % n)), reciprocal(cj))
-        for i, a in enumerate(mod_cyclic(term, n)):
-            for j in range(i, k, n):
-                out[j] = (out[j] + a) % 4
-    return canon(out)
+        term = int_mul(linalg._pack(ci), linalg._pack(reciprocal(cj)), 3)
+        term = fold(term << (((n - 1 - degree(cj)) % n) << 3), n)
+        out += term * int.from_bytes((b"\1" + bytes(n - 1)) * (k // n), "little")
+    return to_poly(fold(out, k))
 
 
 def first_nonorthogonal_shift(u: CodeVector, v: CodeVector) -> int | None:
@@ -207,11 +208,9 @@ def dual_brute_force(c: DoubleCyclicCode,
 
 
 def _iota(p: Poly, n: int) -> Poly:
-    """p(x^-1) mod x^n-1: coefficient i moves to -i mod n."""
-    out = [0] * n
-    for i, a in enumerate(p):
-        out[-i % n] = (out[-i % n] + a) % 4
-    return canon(out)
+    """p(x^-1) mod x^n-1: coefficient i moves to -i mod n, so it is
+    x^(-deg p mod n) times the reversal of p, folded."""
+    return to_poly(fold(linalg._pack(p[::-1]) << ((-degree(p) % n) << 3), n))
 
 
 def _pairing_target(c: DoubleCyclicCode, F2h: Poly) -> Poly:

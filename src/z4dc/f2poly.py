@@ -7,6 +7,11 @@ of the squarefree polynomial x^n - 1 (n odd), split by gcds with the
 idempotents of its 2-cyclotomic cosets.  Binary codes are handled by
 their generator polynomials (cyclic_gcd), so no F2 row reduction runs.
 
+Tuples are the API; inside, a polynomial is one int with coefficient
+i in byte i, linalg's row layout (linalg._pack, to_poly).  int_mul and
+int_divmod serve both rings, by lane mask: m = 1 here, 3 in z4poly
+(reduction mod 2 is a ring map).  Euclid's loops stay on ints.
+
 Every function is pure.  The ring ops, division, gcd and x^n + 1 are
 memoized with bounded caches of CACHE_SIZE entries each (z4poly shares
 the bound), because the codes of a search or a dual population are
@@ -21,6 +26,7 @@ from __future__ import annotations
 import functools
 
 from .errors import BothZero, EvenLength, InternalCheckFailed
+from .linalg import _lanes, _pack
 
 Poly = tuple[int, ...]
 
@@ -32,38 +38,58 @@ ONE: Poly = (1,)
 
 
 def canon(coeffs) -> Poly:
-    """Reduce coefficients mod 2 and strip trailing zeros, all of them
-    in one step (as bytes)."""
-    out = [c % 2 for c in coeffs]
-    if not out or out[-1]:
-        return tuple(out)
-    return tuple(bytes(out).rstrip(b"\0"))
+    """Reduce coefficients mod 2 and strip trailing zeros."""
+    return to_poly(_pack(tuple(coeffs), 1))
 
 
 def degree(a: Poly) -> int:
     return len(a) - 1
 
 
+def to_poly(x: int) -> Poly:
+    """The tuple of a packed polynomial, without trailing zeros."""
+    return tuple(x.to_bytes((x.bit_length() + 7) >> 3, "little"))
+
+
+def int_mul(x: int, y: int, m: int = 1) -> int:
+    """x * y over Z/(m+1), x and y packed with lanes at most m: one product
+    per chunk of (255 - m) // m^2 lanes of the shorter (28 over Z4, 254
+    over F2), so no lane of the masked running sum carries."""
+    if x.bit_length() > y.bit_length():
+        x, y = y, x
+    mask = _lanes((x.bit_length() + y.bit_length() + 7) >> 3, m)
+    step = (255 - m) // (m * m) << 3
+    out = sh = 0
+    while x:
+        out = out + ((x & (1 << step) - 1) * y << sh) & mask
+        x, sh = x >> step, sh + step
+    return out
+
+
+def int_divmod(x: int, d: int, m: int = 1) -> tuple[int, int]:
+    """(q, r), x = q*d + r with deg r < deg d over Z/(m+1), for packed x, d
+    (lanes <= m; d's lead a unit, so its own inverse): a masked add per
+    quotient digit, an XOR over F2."""
+    dd = (d.bit_length() - 1) >> 3
+    lead, top = d >> (dd << 3), (x.bit_length() - 1) >> 3
+    mask = _lanes(top + 1, m) if m > 1 else 0
+    q = bytearray(max(top - dd + 1, 0))
+    while top >= dd:
+        sh = (top - dd) << 3
+        c = q[top - dd] = (x >> (top << 3)) * lead & m
+        x = x ^ d << sh if m == 1 else x + ((m + 1 - c) * d << sh) & mask
+        top = (x.bit_length() - 1) >> 3
+    return int.from_bytes(q, "little"), x
+
+
 @memoize
 def add(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] ^= c
-    return canon(out)
+    return to_poly(_pack(a, 1) ^ _pack(b, 1))
 
 
 @memoize
 def mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] ^= x & y
-    return canon(out)
+    return to_poly(int_mul(_pack(a, 1), _pack(b, 1)))
 
 
 @memoize
@@ -74,33 +100,30 @@ def xn_plus_1(n: int) -> Poly:
 
 @memoize
 def polydivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
+    if not (d := _pack(b, 1)):
         raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(a)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        if rem[i]:
-            q[i - db] = 1
-            for j, c in enumerate(b):
-                rem[i - db + j] ^= c
-    return canon(q), canon(rem)
+    q, rem = int_divmod(_pack(a, 1), d)
+    return to_poly(q), to_poly(rem)
 
 
 def polymod(a: Poly, b: Poly) -> Poly:
     return polydivmod(a, b)[1]
 
 
+def _gcd(x: int, y: int) -> int:
+    """Euclid on packed polynomials; monic, since nonzero over F2 is."""
+    while y:
+        x, y = y, int_divmod(x, y)[1]
+    return x
+
+
 @memoize
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; not both arguments may be zero."""
-    if not a and not b:
+    x, y = _pack(a, 1), _pack(b, 1)
+    if not x and not y:
         raise BothZero("gcd(0, 0) is undefined")
-    # the undecorated division: the remainders of one Euclid run recur
-    # in no other call, and would only crowd polydivmod's cache
-    while b:
-        a, b = b, polydivmod.__wrapped__(a, b)[1]
-    return a  # nonzero over F2 is automatically monic
+    return to_poly(_gcd(x, y))
 
 
 def cyclic_gcd(parts, n: int) -> Poly:
@@ -111,17 +134,16 @@ def cyclic_gcd(parts, n: int) -> Poly:
 
 def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    if not a and not b:
+    r0, r1 = _pack(a, 1), _pack(b, 1)
+    if not r0 and not r1:
         raise BothZero("gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
+    s0, s1, t0, t1 = 1, 0, 0, 1
     while r1:
-        q, r = polydivmod(r0, r1)
+        q, r = int_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, add(s0, mul(q, s1))
-        t0, t1 = t1, add(t0, mul(q, t1))
-    return r0, s0, t0
+        s0, s1 = s1, s0 ^ int_mul(q, s1)
+        t0, t1 = t1, t0 ^ int_mul(q, t1)
+    return to_poly(r0), to_poly(s0), to_poly(t0)
 
 
 def cyclotomic_cosets(n: int) -> list[list[int]]:
@@ -161,26 +183,26 @@ def factor_cyclic(n: int) -> frozenset[Poly]:
     cosets go first: their sums split off the small factors cheaply.
     """
     cosets = cyclotomic_cosets(n)
-    f = xn_plus_1(n)
-    factors: list[Poly] = [f]
+    f = _pack(xn_plus_1(n), 1)
+    factors = [f]
     for coset in sorted(cosets, key=len):
         if len(factors) == len(cosets):
             break
-        bits = [0] * (max(coset) + 1)
+        bits = bytearray(max(coset) + 1)
         for i in coset:
             bits[i] = 1
-        v = tuple(bits)
-        out: list[Poly] = []
+        v = int.from_bytes(bits, "little")
+        out: list[int] = []
         for u in factors:
-            g = gcd(u, v)
-            out += [u] if g in (ONE, u) else [g, polydivmod(u, g)[0]]
+            g = _gcd(u, v)
+            out += [u] if g in (1, u) else [g, int_divmod(u, g)[0]]
         factors = out
     if len(factors) != len(cosets):
         raise InternalCheckFailed(f"coset split of x^{n}-1 found "
                                   f"{len(factors)} of {len(cosets)} factors")
-    prod = ONE
+    prod = 1
     for u in factors:
-        prod = mul(prod, u)
+        prod = int_mul(prod, u)
     if prod != f:
         raise InternalCheckFailed(f"factor product mismatch for x^{n}-1")
-    return frozenset(factors)
+    return frozenset(map(to_poly, factors))

@@ -67,23 +67,26 @@ class HowellForm:
         rows {column: (row, pivot)}, their _eliminate lane mask and the
         _lanes mask."""
         m3 = _lanes(self.matrix.ncols)
-        rows = {j: (_pack(row, m3), piv)
+        rows = {j: (_pack(row), piv)
                 for (j, piv), row in zip(self.pivots, self.matrix.rows)}
         return rows, sum((4 - piv) << (j << 3) for j, piv in self.pivots), m3
 
 
-def _lanes(n: int) -> int:
-    """0x03 in each of n bytes: x & _lanes(n) is x mod 4 in every lane."""
-    return int.from_bytes(b"\x03" * n, "little")
+_LANE_MOD = {m: bytes(b & m for b in range(256)) for m in (1, 3)}
 
 
-def _pack(row, m3: int) -> int:
-    """A row as one int, entry j mod 4 in byte j (m3 its _lanes mask);
-    tuple() keeps bytes() from copying an array's buffer."""
+def _lanes(n: int, m: int = 3) -> int:
+    """m in each of n bytes: x & _lanes(n, m) is x mod m+1 in every lane."""
+    return int.from_bytes(bytes((m,)) * n, "little")
+
+
+def _pack(row, m: int = 3) -> int:
+    """A row as one int, entry j mod m+1 in byte j (m = 3 or 1); tuple()
+    keeps bytes() from copying an array's buffer."""
     try:
-        return int.from_bytes(bytes(tuple(row)), "little") & m3
+        return int.from_bytes(bytes(tuple(row)).translate(_LANE_MOD[m]), "little")
     except ValueError:  # bytes() takes entries 0..255 only
-        return int.from_bytes(bytes(c % 4 for c in row), "little")
+        return int.from_bytes(bytes(c & m for c in row), "little")
 
 
 def _lead(x: int) -> int:
@@ -138,8 +141,8 @@ def _howell_rows(xs, n: int) -> tuple[list[int], list[tuple[int, int]]]:
 
 def howell(m: MatZ4) -> HowellForm:
     """Howell canonical form of the row span of m, entries taken mod 4."""
-    n, m3 = m.ncols, _lanes(m.ncols)
-    out, pivots = _howell_rows([_pack(r, m3) for r in m.rows], n)
+    n = m.ncols
+    out, pivots = _howell_rows([_pack(r) for r in m.rows], n)
     return HowellForm(MatZ4(tuple(tuple(x.to_bytes(n, "little")) for x in out), n),
                       tuple(pivots))
 
@@ -157,7 +160,7 @@ def coset_representative(h: HowellForm, v) -> tuple[int, ...]:
     if len(v) != n:
         raise DimensionMismatch(f"vector length {len(v)} != ncols {n}")
     rows, mask, m3 = h._reducer
-    return tuple(_eliminate(_pack(v, m3), rows, mask, m3).to_bytes(n, "little"))
+    return tuple(_eliminate(_pack(v), rows, mask, m3).to_bytes(n, "little"))
 
 
 def kernel(m: MatZ4) -> MatZ4:
@@ -173,7 +176,7 @@ def kernel(m: MatZ4) -> MatZ4:
     nr, n = len(m.rows), m.ncols
     m3, shift = _lanes(nr), nr << 3
     cols = zip(*m.rows) if nr else [()] * n
-    aug = [_pack(col, m3) | 1 << (shift + (i << 3)) for i, col in enumerate(cols)]
+    aug = [_pack(col) | 1 << (shift + (i << 3)) for i, col in enumerate(cols)]
     out, _ = _howell_rows(aug, nr + n)
     return MatZ4(tuple(tuple((x >> shift).to_bytes(n, "little"))
                        for x in out if not x & m3), n)

@@ -2,14 +2,18 @@
 
 Polynomials are tuples of coefficients in {0,1,2,3}, ascending degree,
 with no trailing zeros; the zero polynomial is the empty tuple.  All
-functions return canonical tuples, so results compare with ==.  Values
-are immutable and every operation is pure, so the ring ops, reduction,
-division, reciprocal and the constructors of monomials and x^n - 1 are
-memoized with bounded caches (f2poly.CACHE_SIZE entries each): codes
-and their duals are built from a few divisors of x^n - 1, so the same
-products and divisions recur.  Callers pass tuples, which are
-hashable; canon takes any iterable and is not cached.  An exception is
-never cached: a rejected call raises again.
+functions return canonical tuples, so results compare with ==, and
+take entries outside 0..3 mod 4.  Inside, they compute on one int per
+polynomial, coefficient i in byte i, by f2poly's int_mul and int_divmod
+with lane mask 3; fold reduces mod x^n - 1.  Values are immutable and
+every operation is pure, so the ring ops, reduction, division,
+reciprocal and the constructors of monomials and x^n - 1 are memoized
+with bounded caches (f2poly.CACHE_SIZE entries each): codes and their
+duals are built from a few divisors of x^n - 1, so the same products
+and divisions recur, and a cache hit beats a conversion plus an
+operation.  Callers pass tuples, which are hashable; canon takes any
+iterable and is not cached.  An exception is never cached: a rejected
+call raises again.
 
 degree() returns -1 for the zero polynomial as a sentinel; callers that
 feed a degree into a formula must reject the zero polynomial first.
@@ -28,7 +32,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from . import f2poly
-from .f2poly import memoize
+from .f2poly import int_divmod, int_mul, memoize, to_poly
+from .linalg import _lanes, _pack
 
 Poly = tuple[int, ...]
 
@@ -38,12 +43,8 @@ X: Poly = (0, 1)
 
 
 def canon(coeffs) -> Poly:
-    """Reduce coefficients mod 4 and strip trailing zeros, all of them
-    in one step (as bytes)."""
-    out = [c % 4 for c in coeffs]
-    if not out or out[-1]:
-        return tuple(out)
-    return tuple(bytes(out).rstrip(b"\0"))
+    """Reduce coefficients mod 4 and strip trailing zeros."""
+    return to_poly(_pack(tuple(coeffs)))
 
 
 def degree(a: Poly) -> int:
@@ -57,37 +58,21 @@ def is_monic(a: Poly) -> bool:
 
 @memoize
 def add(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % 4
-    return canon(out)
-
-
-def neg(a: Poly) -> Poly:
-    return tuple((-c) % 4 for c in a)
+    return to_poly(_pack(a) + _pack(b) & _lanes(max(len(a), len(b))))
 
 
 def sub(a: Poly, b: Poly) -> Poly:
-    return add(a, neg(b))
+    return add(a, scale(3, b))
 
 
 @memoize
 def scale(c: int, a: Poly) -> Poly:
-    return canon(x * c for x in a)
+    return to_poly(_pack(a) * (c % 4) & _lanes(len(a)))
 
 
 @memoize
 def mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % 4
-    return canon(out)
+    return to_poly(int_mul(_pack(a), _pack(b), 3))
 
 
 @memoize
@@ -104,15 +89,19 @@ def xn_minus_1(n: int) -> Poly:
     return canon([3] + [0] * (n - 1) + [1])
 
 
+def fold(x: int, n: int) -> int:
+    """Packed x (lanes below 253) reduced mod x^n - 1 and mod 4: the sum
+    of its slices of n lanes, masked as it goes."""
+    b, m3, out = x.to_bytes((x.bit_length() + 7) >> 3, "little"), _lanes(n), 0
+    for i in range(0, len(b), n):
+        out = out + int.from_bytes(b[i:i + n], "little") & m3
+    return out
+
+
 @memoize
 def mod_cyclic(a: Poly, n: int) -> Poly:
     """Reduce a modulo x^n - 1 by folding exponents mod n."""
-    if len(a) <= n:
-        return canon(a)
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i % n] = (out[i % n] + c) % 4
-    return canon(out)
+    return to_poly(fold(_pack(a), n))
 
 
 @memoize
@@ -124,18 +113,8 @@ def divmod_monic(a: Poly, d: Poly) -> tuple[Poly, Poly]:
     """
     if not d or d[-1] % 2 == 0:
         raise NonUnitLeadingCoefficient(f"divisor lead must be 1 or 3, got {d!r}")
-    inv_lead = 1 if d[-1] == 1 else 3
-    rem = list(a)
-    dd = len(d) - 1
-    q = [0] * max(len(a) - dd, 0)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            factor = (c * inv_lead) % 4
-            q[i - dd] = factor
-            for j, dc in enumerate(d):
-                rem[i - dd + j] = (rem[i - dd + j] - factor * dc) % 4
-    return canon(q), canon(rem)
+    q, rem = int_divmod(_pack(a), _pack(d), 3)
+    return to_poly(q), to_poly(rem)
 
 
 def divides(d: Poly, a: Poly) -> bool:
@@ -169,7 +148,7 @@ def make_monic(a: Poly) -> Poly:
 @memoize
 def reduce_mod2(f: Poly) -> f2poly.Poly:
     """Coefficientwise reduction to F2, re-canonicalized."""
-    return f2poly.canon(c % 2 for c in f)
+    return to_poly(_pack(f, 1))
 
 
 def lift_mod2(fbar: f2poly.Poly) -> Poly:
@@ -196,7 +175,7 @@ def hensel_lift(fbar: f2poly.Poly, n: int) -> Poly:
     b = lift_mod2(fbar[1::2])
     h = sub(mul(a, a), mul(X, mul(b, b)))
     if len(fbar) % 2 == 0:  # odd degree: leading term comes from -y*b(y)^2
-        h = neg(h)
+        h = scale(3, h)
     if reduce_mod2(h) != f2poly.canon(fbar):
         raise InternalCheckFailed(f"lift of {fbar!r} has wrong residue: {h!r}")
     if not is_monic(h) or divmod_monic(xn_minus_1(n), h)[1]:

@@ -1,13 +1,13 @@
 """Shared fixtures and independent oracles.
 
-The oracles here are deliberately naive re-implementations (longhand
-convolution and the polynomial action on pairs, exhaustive span
-enumeration, exhaustive Gray-image closure, shift-by-shift inner
-products, the entry-by-entry Z4 column sweep, F2 row reduction) kept
-separate from the library paths they check, plus a decoder of the
-enumeration engine's blocks and quantities that only the tests
-evaluate: the size of a Howell span, the inverse Gray map, and those
-of the projection-size lemma.
+The oracles here are deliberately naive re-implementations (the
+schoolbook polynomial loops, longhand convolution and the polynomial
+action on pairs, exhaustive span enumeration, exhaustive Gray-image
+closure, shift-by-shift inner products, the entry-by-entry Z4 column
+sweep, F2 row reduction) kept separate from the library paths they
+check, plus a decoder of the enumeration engine's blocks and
+quantities that only the tests evaluate: the size of a Howell span,
+the inverse Gray map, and those of the projection-size lemma.
 """
 
 from __future__ import annotations
@@ -58,6 +58,81 @@ def naive_mod_cyclic(a, n):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _stripped(out, q):
+    """out mod q without trailing zeros, as a tuple."""
+    out = [c % q for c in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+# The schoolbook tuple loops that z4poly and f2poly ran before they
+# computed on packed ints, kept as the packed kernels' oracles; like
+# those, they take Z4 entries of any size, F2 ones too in add and mul.
+
+
+def naive_add(a, b):
+    """Coefficientwise sum over Z4."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % 4
+    return _stripped(out, 4)
+
+
+def naive_divmod_monic(a, d):
+    """(q, rem) over Z4 by schoolbook division, for d with lead 1 or 3."""
+    inv_lead = 1 if d[-1] == 1 else 3
+    rem = list(a)
+    dd = len(d) - 1
+    q = [0] * max(len(a) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            factor = (c * inv_lead) % 4
+            q[i - dd] = factor
+            for j, dc in enumerate(d):
+                rem[i - dd + j] = (rem[i - dd + j] - factor * dc) % 4
+    return _stripped(q, 4), _stripped(rem, 4)
+
+
+def naive_add_f2(a, b):
+    """Coefficientwise sum over F2."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] ^= c
+    return _stripped(out, 2)
+
+
+def naive_mul_f2(a, b):
+    """Longhand convolution over F2."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] ^= x & y
+    return _stripped(out, 2)
+
+
+def naive_divmod_f2(a, b):
+    """(q, rem) over F2 by schoolbook division, for bit tuples a and b
+    with lead 1."""
+    rem = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        if rem[i]:
+            q[i - db] = 1
+            for j, c in enumerate(b):
+                rem[i - db + j] ^= c
+    return _stripped(q, 2), _stripped(rem, 2)
 
 
 def xstar_mul(p, pair, r, s):

@@ -156,6 +156,36 @@ class TestAnalyze:
         assert json.loads(out.read_text())["size"] == 256
 
 
+class TestEmit:
+    """A JSON report is streamed by json.dump; a text report is written
+    as it is.  Only stdout gets a final newline, and only when missing."""
+
+    def test_streamed_json_equals_dumps(self, tmp_path, capsys):
+        obj = {"rows": [[0, 1, 2, 3]] * 40, "size": 4 ** 300,
+               "text": "\u00fc \"q\"\n", "empty": [[], {}],
+               "flags": {"a": None, "b": True, "c": 1.5}}
+        out = tmp_path / "report.json"
+        cli._emit(obj, str(out))
+        cli._emit(obj, None)
+        text = json.dumps(obj, indent=2)
+        assert out.read_bytes() == text.encode()
+        assert capsys.readouterr().out == text + "\n"
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "a,b", ""])
+    def test_text_is_written_as_it_is(self, text, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        cli._emit(text, str(out))
+        cli._emit(text, None)
+        assert out.read_text() == text
+        assert capsys.readouterr().out == (text if text.endswith("\n") else text + "\n")
+
+    def test_dual_out_file_equals_stdout(self, pair_spec, tmp_path, capsys):
+        out = tmp_path / "dual.json"
+        assert cli.main(["dual", pair_spec, "--out", str(out)]) == 0
+        assert cli.main(["dual", pair_spec]) == 0
+        assert out.read_text() + "\n" == capsys.readouterr().out
+
+
 class TestDual:
     def test_free_method(self, pair_spec, capsys):
         rc = cli.main(["dual", pair_spec])

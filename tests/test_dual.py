@@ -275,6 +275,15 @@ class TestDualFree:
         rep = dual.dual_report(c)
         assert rep.kernel == la.kernel(generator_matrix(c))
 
+    def test_non_free_code_at_511_equals_the_kernel_dual(self):
+        # a large non-free code: the theorem factors x^511-1 and forms
+        # products of degree about 511
+        c = from_spec_dict({"r": 511, "s": 511, "f1": "x+3", "g1": "1",
+                            "f2": "x+3", "g2": "x+3"})
+        rep = dual.dual_free(c)
+        assert rep.method == "residue-factors"
+        assert rep.dual == dual.dual_brute_force(c, cap=1022)[1].dual
+
     def test_kernel_is_built_on_first_read(self, monkeypatch):
         # the closed form builds no Howell form; the report's first read
         # of kernel builds the dual's, which is the kernel oracle's, and
@@ -525,6 +534,15 @@ class TestResidueDualCheck:
             K, brep = dual.dual_brute_force(c)
             chk = dual.residue_dual_check(c, K, dual_code=brep.dual)
             assert chk.all_ok(), (spec_dict(c), chk.checks)
+
+    def test_dense_free_code_at_1023(self):
+        # its witness products have degree about 2n; the dual is past
+        # the kernel-row bound
+        q = zp.exact_div(zp.xn_minus_1(1023), parse("x+3"))
+        c = validate(1023, 1023, q, q, None, q, q)
+        rep = dual.dual_report(c)
+        assert rep.kernel is None
+        assert dual.residue_dual_check(c, dual_code=rep.dual).all_ok()
 
     def test_two_torsion_mixing_reported_not_raised(self):
         # the Z4 closed form is blind to a residue-invisible mixing

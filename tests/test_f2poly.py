@@ -96,6 +96,11 @@ class TestFactorCyclic:
             prod = fp.mul(prod, f)
         assert prod == fp.xn_plus_1(7)
 
+    def test_prime_length_with_two_large_factors(self):
+        # 2 has order 32759 mod the prime 65519, so x^65519-1 splits into
+        # x+1 and two factors of degree 32759: two long Euclid runs
+        assert sorted(map(fp.degree, fp.factor_cyclic(65519))) == [1, 32759, 32759]
+
     def test_even_length_rejected(self):
         with pytest.raises(EvenLength):
             fp.factor_cyclic(4)

@@ -122,7 +122,7 @@ def test_coset_representative_packs_each_form_once(rng, monkeypatch):
     h = la.howell(raw_matrix(rng))
     packed = []
     pack = la._pack
-    monkeypatch.setattr(la, "_pack", lambda row, m3: packed.append(row) or pack(row, m3))
+    monkeypatch.setattr(la, "_pack", lambda row, *m: packed.append(row) or pack(row, *m))
     vs = [tuple(rng.randrange(4) for _ in range(h.matrix.ncols)) for _ in range(20)]
     reps = [la.coset_representative(h, v) for v in vs]
     assert len(packed) == len(h.matrix.rows) + len(vs)
