@@ -23,8 +23,9 @@ Codes are immutable after validation; enumeration is a deterministic
 mixed-radix counter (S1 digits most significant, then S2, S3, S4, each
 coefficient block ascending) whose index space partitions into
 contiguous sub-ranges for parallel consumers.  One engine,
-BlockEnumerator, produces it, on codewords packed in 2-bit lanes of
-uint64 words (pack) that add mod 4 lane by lane (lane_add).
+BlockEnumerator, produces it, as the Gray images (gray_lanes) of
+codewords packed in 2-bit lanes of uint64 words (pack) that add mod 4
+lane by lane (lane_add).
 """
 
 from __future__ import annotations
@@ -413,18 +414,47 @@ def _lane_add_into(out: np.ndarray, x: np.ndarray, o: np.ndarray) -> np.ndarray:
     return out
 
 
+def gray_lanes(words: np.ndarray) -> np.ndarray:
+    """The Gray image of packed codewords, lane by lane: a symbol with
+    bits (a1, a0) becomes (a1, a0 ^ a1), whose value in binary is its
+    Gray pair.  It is an involution, so it also decodes Gray images."""
+    out = words >> 1
+    out &= LO
+    out ^= words
+    return out
+
+
+def _span_table(multiples: np.ndarray, radices) -> np.ndarray:
+    """The words sum d_i * row_i, 0 <= d_i < radices[i], in counter
+    order, column-major, from multiples[i, d] = d * row_i packed; filled
+    in place, least significant digit first: with `filled` entries done,
+    entry d*filled + k is entry k plus d times the next row, for all
+    d > 0 by one broadcast lane addition into a view of the table."""
+    table = np.zeros((math.prod(radices), multiples.shape[2]), dtype=np.uint64,
+                     order="F")
+    filled = 1
+    for mult, rad in zip(multiples[::-1], reversed(radices)):
+        _lane_add_into(table[filled:rad * filled].reshape(rad - 1, filled, -1),
+                       table[:filled], mult[1:rad, None])
+        filled *= rad
+    return table
+
+
 class BlockEnumerator:
-    """The words sum d_i * rows[i], 0 <= d_i < radices[i], in counter
-    order (last digit least significant), in contiguous blocks: block h
-    holds indices [h*block_size, (h+1)*block_size) as one (block_size,
-    nwords) uint64 array in the lanes of pack, nwords = ceil(ncols/32).
-    The basis is enumeration_basis of a code, or Howell rows with radix
-    4 // pivot.  The trailing digits are a table of block_size words,
-    built once in place, least significant digit first: with the first
-    `filled` entries done, entry d*filled + k is entry k plus d times
-    the next row.  The leading digits of h become one offset word
-    vector that each block adds to the table, into a caller's buffer
-    when it passes one, so a loop over blocks allocates nothing.  A
+    """The Gray images of the words sum d_i * rows[i], 0 <= d_i <
+    radices[i], in counter order (last digit least significant), in
+    contiguous blocks: block h holds indices [h*block_size,
+    (h+1)*block_size) as one column-major (block_size, nwords) uint64
+    array in the lanes of pack, nwords = ceil(ncols/32).  The basis is
+    enumeration_basis of a code, or Howell rows with radix 4 // pivot.
+    The trailing digits span a table T of block_size words and the
+    leading digits one offset O[h] per block (_span_table), both kept
+    as G = phi(.) and L = 3*(. & LO), the odd lanes.  Lane by lane,
+    phi(t + o) = phi(t) ^ phi(o) ^ 3*(t0 & o0) for the low bits t0, o0
+    (phi(u + v) = phi(u) ^ phi(v) ^ phi(2(u*v)), Hammons et al.), so
+    block h is (L_T & L_O[h]) ^ G_T ^ G_O[h]: three passes, into a
+    caller's buffer when it passes one, reading only the engine (threads
+    share it).  A one-block engine keeps G_T alone and copies it.  A
     block holds at most max_block words, by default 2^16 uint64 in all.
     Blocks are mirrored when there are several and every radix-2 row r
     has 2r = 0 (not so for an S4 row or pivot-2 Howell row with an odd
@@ -453,16 +483,15 @@ class BlockEnumerator:
             twice[i].any() for i, rad in enumerate(radices) if rad == 2)
         multiples = np.stack((np.zeros_like(once), once, twice, lane_add(twice, once)),
                              axis=1)
-        self._high = [multiples[i, :radices[i]] for i in range(split)]
-        # column-major, so each word column is one contiguous run
-        table = np.zeros((width, self.nwords), dtype=np.uint64, order="F")
-        filled = 1
-        for i in reversed(range(split, len(radices))):
-            for d in range(1, radices[i]):
-                _lane_add_into(table[d * filled:(d + 1) * filled], table[:filled],
-                               multiples[i, d])
-            filled *= radices[i]
-        self._table = table
+        table = _span_table(multiples[split:], self.radices[split:])
+        self._gray, self._odd = gray_lanes(table), None
+        if self.nblocks > 1:
+            offsets = _span_table(multiples[:split], self.radices[:split])
+            self._gray_offsets = gray_lanes(offsets)
+            for x in (table, offsets):  # the odd lanes as 0b11, in place
+                x &= LO
+                x *= 3
+            self._odd, self._odd_offsets = table, offsets
 
     def negation(self, index):
         """The index of the negated word, for an int or an int array,
@@ -475,16 +504,17 @@ class BlockEnumerator:
         return out
 
     def block(self, h: int, out: np.ndarray | None = None) -> np.ndarray:
-        """(block_size, nwords) packed codewords of block h, column-major,
+        """(block_size, nwords) packed Gray images of block h, column-major,
         written into out (shaped like a block) when it is given."""
-        offset = np.zeros(self.nwords, dtype=np.uint64)
-        for mult in reversed(self._high):
-            h, d = divmod(h, len(mult))
-            if d:
-                offset = lane_add(offset, mult[d])
         if out is None:
-            out = np.empty_like(self._table)
-        return _lane_add_into(out, self._table, offset)
+            out = np.empty_like(self._gray)
+        if self._odd is None:
+            np.copyto(out, self._gray)
+            return out
+        np.bitwise_and(self._odd, self._odd_offsets[h], out=out)
+        out ^= self._gray
+        out ^= self._gray_offsets[h]
+        return out
 
 
 # -- ideal canonicalization ---------------------------------------------

@@ -11,7 +11,7 @@ set-up costs about that much):
 
 - direct, |C| words: exhaustive enumeration of codewords packed in
   2-bit lanes (code.pack), the Lee weight of a codeword being the
-  popcount of its Gray image words (gray_lanes);
+  popcount of the Gray image words that the engine forms;
 - through the dual, |C-perp| words, when C-perp is smaller (|C| >
   2^(r+s), since |C| * |C-perp| = 4^(r+s)): the Howell rows of the
   exact kernel of the generator matrix, C-perp, are enumerated with
@@ -44,11 +44,11 @@ Kumar, Calderbank, Sloane and Sole, IEEE-IT 40(2), 1994).  So when
 every radix-2 row r has 2r = 0 (a mirrored BlockEnumerator), only the
 block h <= g of each negation pair (h, g) is enumerated, its class
 rows counting at the classes of both; else every block counts once.
-Each contiguous run of those blocks (one per thread of jobs) owns two
-block-sized buffers, allocated once: the engine writes each block into
-the first, and the Gray image, its popcounts and their sum over word
-columns are formed in the second, so the loop over blocks allocates
-nothing block-sized but the block's rows of the class histograms.
+Each contiguous run of those blocks (one per thread of jobs) owns one
+block-sized buffer, allocated once: the engine writes each block's Gray
+images into it, and their popcounts and sum over word columns overwrite
+them, so the loop over blocks allocates nothing block-sized but the
+block's rows of the class histograms.
 Linearity of the Gray image is decided exactly, without enumeration,
 by the Z4-linearity criterion on pairs of generating rows.
 """
@@ -66,7 +66,6 @@ from . import linalg
 from .code import (
     BlockEnumerator,
     DEFAULT_ENUM_CAP,
-    LO,
     DoubleCyclicCode,
     annihilator,
     check_enum_cap,
@@ -114,23 +113,13 @@ class LeeEnumerator:
         return min(keys)
 
 
-def gray_lanes(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The Gray image of packed codewords, lane by lane: a symbol with
-    bits (a1, a0) becomes (a1, a0 ^ a1), whose value in binary is its
-    Gray pair."""
-    out = np.right_shift(words, 1, out=out)
-    out &= LO
-    out ^= words
-    return out
-
-
-def _lee_weights(words: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Lee weight of each packed codeword: the popcount of its Gray image,
-    the Gray map being an isometry.  The Gray image, its popcounts and
-    their sum over word columns are all formed in buf (shaped like
-    words), and the result is an intp view of its first column."""
-    counts = buf.view(np.intp)
-    np.bitwise_count(gray_lanes(words, buf), out=counts)
+def _lee_weights(image: np.ndarray) -> np.ndarray:
+    """Lee weight of each codeword from its packed Gray image: the
+    popcount, the Gray map being an isometry.  The popcounts and their
+    sum over word columns overwrite image, and the result is an intp
+    view of its first column."""
+    counts = image.view(np.intp)
+    np.bitwise_count(image, out=counts)
     for k in range(1, counts.shape[1]):
         counts[:, 0] += counts[:, k]
     return counts[:, 0]
@@ -141,9 +130,8 @@ def _block_pairs(be: BlockEnumerator) -> list[tuple[int, int]]:
     for every block unless mirrored."""
     if not be.mirrored:
         return [(h, h) for h in range(be.nblocks)]
-    size = be.block_size
-    return [(h, g) for h in range(be.nblocks)
-            if h <= (g := be.negation(h * size) // size)]
+    mirrors = be.negation(np.arange(be.nblocks) * be.block_size) // be.block_size
+    return [(h, g) for h, g in enumerate(mirrors.tolist()) if h <= g]
 
 
 def _histogram_range(be: BlockEnumerator, pairs, m: int) -> np.ndarray:
@@ -159,14 +147,13 @@ def _histogram_range(be: BlockEnumerator, pairs, m: int) -> np.ndarray:
     shift = np.arange(0, k * width, width)[:, None]
     # negation sends class i of a block to class mirror[i] of block g, and back
     mirror = be.negation(np.arange(k) * m) // m if be.mirrored and k > 1 else slice(None)
-    # one block buffer and one Gray buffer per range, so threads do not
-    # share them: fresh block-sized arrays per block cost page faults
-    words = np.empty((be.block_size, be.nwords), dtype=np.uint64, order="F")
-    buf = np.empty_like(words)
+    # one block buffer per range, so threads do not share it: fresh
+    # block-sized arrays per block cost page faults
+    image = np.empty((be.block_size, be.nwords), dtype=np.uint64, order="F")
     for h, g in pairs:
-        weights = _lee_weights(be.block(h, words), buf)
+        weights = _lee_weights(be.block(h, image))
         if k > 1:
-            by_class = weights.reshape(k, m)  # a view: buf is column-major
+            by_class = weights.reshape(k, m)  # a view: image is column-major
             by_class += shift
         rows = np.bincount(weights, minlength=k * width).reshape(k, width)
         first = h * be.block_size // m
@@ -198,18 +185,21 @@ def _lee_histogram(rows, radices, ncols: int, jobs: int = 1) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _krawtchouk(N: int) -> tuple[tuple[int, ...], ...]:
+def _krawtchouk(N: int) -> np.ndarray:
     """K[L][j] = [z^j] (1+z)^(N-L) (1-z)^L, row by row from K_0 = 1 and
     K_1 = N - 2L by the three-term recurrence (j+1) K_(j+1) =
     (N-2L) K_j - (N-j+1) K_(j-1) (MacWilliams and Sloane, *The Theory
-    of Error-Correcting Codes*, 1977, ch. 5), which divides exactly."""
+    of Error-Correcting Codes*, 1977, ch. 5), which divides exactly; a
+    read-only object array of Python ints, so products are exact."""
     rows = []
     for L in range(N + 1):
         row = [1, N - 2 * L]
         for j in range(1, N):
             row.append(((N - 2 * L) * row[j] - (N - j + 1) * row[j - 1]) // (j + 1))
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    table = np.array(rows, dtype=object)
+    table.flags.writeable = False
+    return table
 
 
 def _macwilliams(dual_hist, size: int) -> dict[int, int]:
@@ -220,11 +210,9 @@ def _macwilliams(dual_hist, size: int) -> dict[int, int]:
     raises InternalCheckFailed."""
     N = len(dual_hist) - 1
     dual_size = (1 << N) // size
-    table = _krawtchouk(N)
-    terms = [(int(b), table[L]) for L, b in enumerate(dual_hist) if b]
     counts = {}
-    for j in range(N + 1):
-        a, rem = divmod(sum(b * row[j] for b, row in terms), dual_size)
+    for j, total in enumerate(np.asarray(dual_hist, dtype=object) @ _krawtchouk(N)):
+        a, rem = divmod(total, dual_size)
         if rem or a < 0:
             raise InternalCheckFailed(
                 f"MacWilliams transform gives A_{j} = {a} rem {rem} "
@@ -390,10 +378,9 @@ def gray_words(c: DoubleCyclicCode, cap: int = DEFAULT_ENUM_CAP):
 
 
 def _gray_lines(be: BlockEnumerator):
-    words = image = None
+    image = None
     for h in range(be.nblocks):
-        words = be.block(h, words)
-        image = gray_lanes(words, image)
+        image = be.block(h, image)
         pairs = unpack(image, be.ncols)
         chars = np.stack((pairs >> 1, pairs & 1), axis=2) + ord("0")
         for row in chars.reshape(be.block_size, -1):

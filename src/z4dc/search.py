@@ -175,7 +175,8 @@ def search(r: int, s: int, forms=FORMS,
         evaluated += 1
         if d < distance_floor:
             continue
-        scored.append((d, size, _spec_key(spec_dict(c)), spec_dict(c)))
+        sd = spec_dict(c)
+        scored.append((d, size, _spec_key(sd), sd))
 
     scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
     if pareto:

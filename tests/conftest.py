@@ -403,12 +403,12 @@ def code_engine(c, **kwargs):
 
 def codewords(c):
     """Every codeword of c as a CodeVector, in enumeration order,
-    decoded from the blocks of its BlockEnumerator."""
-    from z4dc.code import CodeVector, unpack
+    decoded from the Gray image blocks of its BlockEnumerator."""
+    from z4dc.code import CodeVector, gray_lanes, unpack
 
     be = code_engine(c)
     for h in range(be.nblocks):
-        for v in unpack(be.block(h), be.ncols).tolist():
+        for v in unpack(gray_lanes(be.block(h)), be.ncols).tolist():
             yield CodeVector(tuple(v[:c.r]), tuple(v[c.r:]))
 
 

@@ -332,12 +332,12 @@ class TestVerifyExamples:
 
     def test_mutated_lee_table_fails(self, capsys, monkeypatch):
         # mutation sanity: an off-by-one Lee kernel (symbol 3 weighing 2,
-        # one lane (1, 1) counted once more) must flip case 1 to FAIL
+        # its Gray lane (1, 0) counted once more) must flip case 1 to FAIL
         kernel = gray._lee_weights
 
-        def off_by_one(words, buf):
-            threes = np.bitwise_count(words & (words >> 1) & code.LO)
-            return kernel(words, buf) + threes.sum(axis=1, dtype=np.intp)
+        def off_by_one(image):
+            threes = np.bitwise_count((image >> 1) & ~image & code.LO)
+            return kernel(image) + threes.sum(axis=1, dtype=np.intp)
 
         monkeypatch.setattr(gray, "_lee_weights", off_by_one)
         rc = cli.main(["verify-examples", "--only", "1"])
@@ -354,7 +354,7 @@ class TestInternalCheckExit:
         path.write_text(json.dumps(spec_dict(c)))
         table = gray._krawtchouk(32)
         monkeypatch.setattr(gray, "_krawtchouk",
-                            lambda N: table[1:] + ((0,) * 33,))
+                            lambda N: np.concatenate((table[1:], 0 * table[:1])))
         rc = cli.main(["analyze", str(path), "--no-timing"])
         captured = capsys.readouterr()
         assert rc == 4 and captured.out == ""

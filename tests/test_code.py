@@ -297,7 +297,7 @@ class TestEnumeration:
         be = code_engine(c, max_block=32)
         flat = []
         for h in range(be.nblocks):
-            flat.extend(map(tuple, code.unpack(be.block(h), c.r + c.s).tolist()))
+            flat.extend(map(tuple, code.unpack(code.gray_lanes(be.block(h)), c.r + c.s).tolist()))
         assert flat == list(counter_words(c))
 
     def test_closure_under_shift(self, rng):

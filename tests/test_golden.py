@@ -21,6 +21,10 @@ GOLDEN = {
     "search 1 15 --forms ii": "5c0bc0281126398d011e6466d8eebe3f2b0aebe15ca469637798308581c89854",
     "search 3 9": "f92b1ddd3533984789ac45795550fef2e681107fc61231276d0f9b77a23c0b41",
     "verify-examples": "8803ce31f3c8616d87f4a26b5008a18246da6ebdb78d1246d1a0b539b193eb69",
+    "gray-export 1": "a81cf63668dba6798f0967d92f3b1fa03c5182517a1e91cf12d55e18d6c11789",
+    "gray-export 3": "5784908adb22b8c01f111006dca247a679d09ad92913b1f285de783a9d6d38ae",
+    "gray-export 4": "0736d1f456f6f1e1604cdaae937f72039ebb6492242ddc8bfbeab124e32aeeda",
+    "gray-export 5": "82bf6157685baaa008cc7fbf81083e9aa46dc3d728196db88fed6af44bd673bd",
 }
 
 
@@ -35,6 +39,17 @@ def test_analyze_reference_case(case, tmp_path, capsys):
     spec.write_text(json.dumps(case["spec"]))
     assert (stdout_digest(["analyze", str(spec), "--no-timing"], capsys)
             == GOLDEN[f"analyze {case['id']}"])
+
+
+# case 2's image, 2^24 words of 48 bits, is too large to print in a test;
+# case 3 takes 3 uint64 words per codeword (66 columns)
+@pytest.mark.parametrize("case", [case for case in REFERENCE_CASES if case["id"] != 2],
+                         ids=lambda case: f"case{case['id']}")
+def test_gray_export_reference_case(case, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(case["spec"]))
+    assert (stdout_digest(["gray-export", str(spec)], capsys)
+            == GOLDEN[f"gray-export {case['id']}"])
 
 
 @pytest.mark.parametrize("command", ["search 1 15 --forms ii", "search 3 9",

@@ -448,7 +448,8 @@ def class_histograms_once(rows, radices, ncols, m):
     span, enumerated as one block, each word's weight summed from its
     unpacked symbols."""
     width = 2 * ncols + 1
-    words = code.BlockEnumerator(rows, radices, ncols, max_block=1 << 20).block(0)
+    words = code.gray_lanes(
+        code.BlockEnumerator(rows, radices, ncols, max_block=1 << 20).block(0))
     weights = np.take(gray.LEE_WEIGHTS, code.unpack(words, ncols)).sum(axis=1)
     classes = np.arange(len(words)) // m
     return np.bincount(classes * width + weights,
@@ -554,11 +555,12 @@ class TestNegationPairs:
         return c, be.block_size
 
     def patch_mirror(self, monkeypatch, block, mirror, size):
-        """negation sends the first word of `block` to that of `mirror`."""
+        """negation sends the first word of `block` to that of `mirror`,
+        for an int or an int array."""
         negation = code.BlockEnumerator.negation
 
         def patched(be, index):
-            return mirror * size if index == block * size else negation(be, index)
+            return np.where(index == block * size, mirror * size, negation(be, index))
 
         monkeypatch.setattr(code.BlockEnumerator, "negation", patched)
 
